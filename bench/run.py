@@ -7,6 +7,11 @@ Run from the root of a source checkout; the package is imported from
 lines before it are a readable table and the machine facts.  A results
 file with the facts and the raw span aggregates is written under
 ``.bench_out/``.  See bench/README.md for the workloads and metrics.
+
+Op times are reported at a fixed machine speed: a reference kernel
+(bench/reference.py) is timed between ops and each op's wall time is
+scaled by the kernel's nominal over its measured time around the op.
+The raw wall-time figures are printed beside them.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
-#: set-ups per run, each with a fresh-process import; setup_s is their median
+#: set-ups per run, each with a fresh-process import; setup_s is the median
+#: of their times at the reference speed
 SETUP_REPEATS = 9
 
 #: the traced layers' self times must cover at least this share of the
@@ -97,10 +103,14 @@ def machine_facts() -> dict:
 
 
 def _import_fresh() -> None:
-    """Start a fresh interpreter that imports the package, and wait for it."""
+    """Start a fresh interpreter that imports the package, and wait for it.
+
+    No timeout: with one, ``wait`` polls in sleeps of up to 50 ms, which
+    would round every set-up time up to that grid.
+    """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     subprocess.run([sys.executable, "-c", "import adaptquant.cli"],
-                   env=env, cwd=ROOT, check=True, timeout=120)
+                   env=env, cwd=ROOT, check=True)
 
 
 def _quantile(values, q):
@@ -112,6 +122,7 @@ def _quantile(values, q):
 def run(workload, seed: int, seconds: float, trace: bool,
         work_dir: Path | None = None) -> dict:
     """One benchmark run; returns the result object plus a report."""
+    from reference import NOMINAL_S, Reference
     from tracing import Tracer, per_layer_metrics
     from workloads import dir_bytes, reset_dir
 
@@ -119,13 +130,18 @@ def run(workload, seed: int, seconds: float, trace: bool,
     op_dir = work_dir / "op"
     load_start = os.getloadavg()[0]
 
-    setups = []
+    # the reference kernel is timed before and after every set-up and op
+    reference = Reference()
+    ref_before = reference.seconds()
+    setups, scaled_setups = [], []
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         _import_fresh()
         workload.setup(seed, work_dir)
         setups.append(time.perf_counter() - t0)
-    setup_s = statistics.median(setups)
+        ref_after = reference.seconds()
+        scaled_setups.append(setups[-1] * 2.0 * NOMINAL_S / (ref_before + ref_after))
+        ref_before = ref_after
 
     # Whole passes run back to back while the next one, expected to last
     # as long as the last one, ends inside the window; a traced run
@@ -149,6 +165,9 @@ def run(workload, seed: int, seconds: float, trace: bool,
                     op.error = f"{type(exc).__name__}: {exc}"
                     traceback.print_exc(file=sys.stderr)
                 op.seconds = time.perf_counter() - t0
+            ref_after = reference.seconds()
+            op.ref_seconds = (ref_before + ref_after) / 2.0
+            ref_before = ref_after
             if op.error is None:
                 try:
                     op.output = workload.shrink(op)
@@ -188,28 +207,35 @@ def run(workload, seed: int, seconds: float, trace: bool,
             problems.append(f"layer self times cover {accounted:.3f} of the "
                             f"traced op wall time, outside [{ACCOUNTED_MIN}, 1]")
     else:
+        scaled = [op.seconds * NOMINAL_S / op.ref_seconds for op in timed]
         metrics = {
-            "ns_per_rep_step": statistics.median(
-                op.seconds / op.units * 1e9 for op in timed),
-            "op_s_p50": statistics.median(times),
-            "op_s_p90": _quantile(times, 0.9),
-            "ops_per_s": len(times) / sum(times),
+            "ns_per_rep_step": _per_unit_ns(scaled, timed, workload.pass_size),
             "peak_rss_mb": peak_rss_mb,
-            "setup_s": setup_s,
+            "setup_s": statistics.median(scaled_setups),
         }
+    # wall-time figures: printed and kept in the results file, not gated
+    raw = {
+        "wall_ns_per_rep_step": _per_unit_ns(times, timed, workload.pass_size),
+        "op_s_p50": statistics.median(times),
+        "op_s_p90": _quantile(times, 0.9),
+        "ops_per_s": len(times) / sum(times),
+        "wall_setup_s": statistics.median(setups),
+        "ref_kernel_ms_p50": 1e3 * statistics.median(op.ref_seconds for op in timed),
+    }
     report = {
         "workload": workload.name,
         "seed": seed,
         "seconds": seconds,
         "trace": int(trace),
         "timed_ops": len(timed),
+        "wall": raw,
         "fail_frac": len(failures) / attempted,
         "failures": failures[:20] + problems,
         "setup_s_samples": setups,
         "load_avg_start": load_start,
         "load_avg_end": os.getloadavg()[0],
         "machine": machine_facts(),
-        "ops": [[op.label, op.seconds, op.traced] for op in ops],
+        "ops": [[op.label, op.seconds, op.traced, op.ref_seconds] for op in ops],
     }
     if trace:
         spans, counts = tracer.totals()
@@ -221,9 +247,22 @@ def run(workload, seed: int, seconds: float, trace: bool,
             "failed": len(failures), "metrics": metrics, "report": report}
 
 
+def _per_unit_ns(seconds, ops, pass_size):
+    """Median over whole passes of the pass's seconds per unit of work, in ns."""
+    per_pass = [sum(seconds[i:i + pass_size])
+                / sum(op.units for op in ops[i:i + pass_size]) * 1e9
+                for i in range(0, len(ops) - pass_size + 1, pass_size)]
+    return statistics.median(per_pass)
+
+
 def _pass_times(ops, pass_size):
-    return [sum(op.seconds for op in ops[i:i + pass_size])
+    """Whole-pass times at the reference speed."""
+    return [sum(op.seconds / op.ref_seconds for op in ops[i:i + pass_size])
             for i in range(0, len(ops) - pass_size + 1, pass_size)]
+
+
+WALL_UNITS = {"wall_ns_per_rep_step": "ns", "op_s_p50": "s", "op_s_p90": "s",
+              "ops_per_s": "1/s", "wall_setup_s": "s", "ref_kernel_ms_p50": "ms"}
 
 
 def main(argv=None) -> int:
@@ -257,6 +296,8 @@ def main(argv=None) -> int:
 
     for name, m in result["metrics"].items():
         print(f"{name:36s} {m['value']:>16.6g} {m['unit']}")
+    for name, value in report["wall"].items():
+        print(f"{name:36s} {value:>16.6g} {WALL_UNITS[name]} (wall time, not gated)")
     print(f"{'fail_frac':36s} {report['fail_frac']:>16.6g} frac "
           f"({result['failed']} of {result['attempted']} ops)")
     print(f"{'timed_ops':36s} {report['timed_ops']:>16d} count")

@@ -3,8 +3,9 @@
     python3 -m pytest bench/test_smoke.py -q
 
 Checks that a run prints every metric named in BENCHMARK.json with its
-unit, that a corrupted expected output is counted as a failed op, and that
-the benchmark refuses to run without the package source.
+unit, and the wall-time figures beside them; that a corrupted expected
+output is counted as a failed op; and that the benchmark refuses to run
+without the package source.
 """
 
 import json
@@ -68,6 +69,9 @@ def test_every_metric_printed_with_unit(tiny, capsys, name, trace):
         assert any(line.split()[:1] == [m["name"]] and line.split()[2] == m["unit"]
                    for line in table), m["name"]
     assert any(line.startswith("fail_frac ") for line in table)
+    for name, unit in run.WALL_UNITS.items():
+        assert any(line.split()[:1] == [name] and line.split()[2] == unit
+                   for line in table), name
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)

@@ -34,6 +34,7 @@ class Op:
     units: int                 # replication-steps (design: grid points)
     label: str = ""
     seconds: float = 0.0
+    ref_seconds: float = 0.0   # reference kernel time around the op
     traced: bool = False
     output: object = None
     error: str | None = None
@@ -272,7 +273,7 @@ class Simulate(Workload):
     horizon: int
     burn_in: int = 0
     threads: int = 1
-    check_threads: bool = False
+    check_threads: int | None = None   # also replayed at this thread count
 
     def setup(self, seed, work_dir):
         self.rng = np.random.default_rng([seed, 2])
@@ -319,8 +320,8 @@ class Simulate(Workload):
         if first.output is None:
             return [("replay", "first op produced no output")]
         runs = [("replay", self.threads)]
-        if self.check_threads:
-            runs.append(("threads=1", 1))
+        if self.check_threads is not None:
+            runs.append((f"threads={self.check_threads}", self.check_threads))
         out = []
         for what, threads in runs:
             try:
@@ -342,9 +343,9 @@ def mc_constant(replications=2048, horizon=2000):
     return Simulate("mc_constant", _CONSTANT_CFG, replications, horizon)
 
 
-def mc_drift_long(replications=1024, horizon=20000, burn_in=1000):
+def mc_drift_long(replications=1024, horizon=4000, burn_in=400):
     return Simulate("mc_drift_long", _DRIFT_CFG, replications, horizon,
-                    burn_in=burn_in, threads=2, check_threads=True)
+                    burn_in=burn_in, check_threads=2)
 
 
 # ---- online_scalar --------------------------------------------------------
