@@ -12,11 +12,10 @@ from .quantizer import (
     optimize_cdelta,
     quantize,
 )
-from .estimator import EstimatorState, GainSchedule, ScheduleKind, gain
+from .estimator import EstimatorState, GainSchedule, ScheduleKind, SignalKind, gain
 from .simulator import (
     ExperimentConfig,
     ExperimentResult,
-    SignalKind,
     SignalModel,
     run_continuous_reference,
     run_experiment,

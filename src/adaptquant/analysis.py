@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimator import SignalKind
 from .noise import NoiseModel
 from .quantizer import QuantizerDesign, QuantizerSpec, mean_field
 
@@ -30,11 +31,17 @@ def loss_drift_db(iq: float, ic: float) -> float:
     return (2.0 / 3.0) * loss_constant_db(iq, ic)
 
 
+def loss_db(kind, iq: float, ic: float) -> float:
+    """Loss for the signal model ``kind`` (a SignalKind or its value)."""
+    loss = {SignalKind.WIENER: loss_wiener_db, SignalKind.WIENER_DRIFT: loss_drift_db}
+    return loss.get(SignalKind(kind), loss_constant_db)(iq, ic)
+
+
 # ---- Cramer-Rao and Bayesian Cramer-Rao bounds ------------------------
 
 
-def crb_continuous(ic: float, k: int) -> float:
-    """Variance bound after k continuous observations of a constant."""
+def crb_continuous(ic: float, k):
+    """Variance bound after k (an int or an array) observations of a constant."""
     return 1.0 / (k * ic)
 
 
@@ -72,7 +79,7 @@ def bcrb_asymptotic_approx(ic: float, sigma_w: float) -> float:
 
 @dataclass(frozen=True)
 class PerformancePrediction:
-    """Asymptotic MSE predictions for a given quantized information value."""
+    """Asymptotic MSE for an information value: theory at I_q, loss baseline at I_c."""
 
     info: float
 
@@ -80,14 +87,23 @@ class PerformancePrediction:
     def sigma_inf_sq(self) -> float:
         return 1.0 / self.info
 
-    def var_constant(self, k: int) -> float:
-        return 1.0 / (k * self.info)
+    def var_constant(self, k):
+        return crb_continuous(self.info, k)
 
     def mse_wiener(self, sigma_w: float) -> float:
-        return sigma_w / math.sqrt(self.info)
+        return bcrb_asymptotic_approx(self.info, sigma_w)
 
     def mse_drift(self, u: float) -> float:
         return 3.0 * (abs(u) / (4.0 * self.info)) ** (2.0 / 3.0)
+
+    def mse_curve(self, kind, horizon: int, sigma_w: float = 0.0,
+                  u: float = 0.0) -> np.ndarray:
+        """Predicted MSE at steps 1..horizon under the signal model ``kind``."""
+        kind = SignalKind(kind)
+        if kind is SignalKind.CONSTANT:
+            return self.var_constant(np.arange(1, horizon + 1))
+        return np.full(horizon, self.mse_wiener(sigma_w) if kind is SignalKind.WIENER
+                       else self.mse_drift(u))
 
 
 @dataclass(frozen=True)

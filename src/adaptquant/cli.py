@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, analysis, simulator
@@ -101,29 +101,29 @@ def _parse_noises(text):
     return out
 
 
+def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
+    """CSV lines (header first) of the three losses per noise and bit count."""
+    rows = ["family,beta,nbits,c_delta,iq,lq_db,lq_wiener_db,lq_drift_db"]
+    for fam, beta in noises:
+        model = NoiseModel(Family(fam), beta, delta)
+        ic = model.fisher_continuous()
+        for nb in nbits_list:
+            c_delta, iq = optimize_cdelta(model, 2**nb, grid)
+            losses = [analysis.loss_db(kind, iq, ic) for kind in SignalKind]
+            rows.append(",".join([fam, _fmt(beta), str(nb), _fmt(c_delta), _fmt(iq)]
+                                 + [_fmt(v) for v in losses]))
+    return rows
+
+
 def cmd_loss_table(args) -> int:
     noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
     nbits_list = [int(b) for b in args.nbits.split(",")]
     grid = _grid_from_args(args)
-    rows = []
-    for fam, beta in noises:
-        model = NoiseModel(Family(fam), beta, args.delta)
-        ic = model.fisher_continuous()
-        for nb in nbits_list:
-            c_delta, iq = optimize_cdelta(model, 2**nb, grid)
-            lq = analysis.loss_constant_db(iq, ic)
-            rows.append((fam, beta, nb, c_delta, iq, lq,
-                         analysis.loss_wiener_db(iq, ic),
-                         analysis.loss_drift_db(iq, ic)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "loss_table.csv"
-    lines = ["# adaptquant loss table",
-             f"# grid = {grid}",
-             "family,beta,nbits,c_delta,iq,lq_db,lq_wiener_db,lq_drift_db"]
-    for fam, beta, nb, c, iq, lq, lw, ld in rows:
-        lines.append(f"{fam},{_fmt(beta)},{nb},{_fmt(c)},{_fmt(iq)},"
-                     f"{_fmt(lq)},{_fmt(lw)},{_fmt(ld)}")
+    lines = (["# adaptquant loss table", f"# grid = {grid}"]
+             + _loss_rows(noises, nbits_list, grid, args.delta))
     path.write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, "loss_table", {
         "subcommand": "loss-table", "noises": noises, "nbits": nbits_list,
@@ -136,15 +136,33 @@ def cmd_loss_table(args) -> int:
 # ---- simulate -----------------------------------------------------------
 
 
+#: every section and key an experiment file may set
+CONFIG_KEYS = {
+    "signal": {"kind", "x0", "sigma_w", "u"},
+    "noise": {"family", "beta", "delta"},
+    "quantizer": {"mode", "nbits", "cdelta", "grid_min", "grid_max", "grid_step"},
+    "run": {"replications", "horizon", "burn_in", "seed", "initial_offset"},
+    "drift_estimator": {"gain", "initial"},
+}
+
+
 def load_experiment_config(path, seed_override=None) -> tuple[ExperimentConfig, str]:
     """Parse an INI experiment file into an ExperimentConfig.
 
     Returns (config, mode) where mode is 'quantized' or 'continuous'.
+    A section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
+    cannot silently fall back to a default.
     """
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
+    for section in [parser.default_section] + parser.sections():
+        if section not in CONFIG_KEYS and section != parser.default_section:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if key not in CONFIG_KEYS.get(section, ()):
+                raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
     sig = parser["signal"]
     signal = SignalModel(
         kind=SignalKind(sig.get("kind", "constant")),
@@ -233,19 +251,9 @@ def cmd_figures(args) -> int:
     nb_sim = [2, 3, 4, 5]
 
     # loss table over the seven standard noises
-    rows = ["family,beta,nbits,c_delta,iq,lq_db,lq_wiener_db,lq_drift_db"]
-    for fam, beta in SEVEN_NOISES:
-        model = NoiseModel(Family(fam), beta)
-        ic = model.fisher_continuous()
-        for nb in nb_all:
-            c, iq = optimize_cdelta(model, 2**nb)
-            rows.append(
-                f"{fam},{_fmt(beta)},{nb},{_fmt(c)},{_fmt(iq)},"
-                f"{_fmt(analysis.loss_constant_db(iq, ic))},"
-                f"{_fmt(analysis.loss_wiener_db(iq, ic))},"
-                f"{_fmt(analysis.loss_drift_db(iq, ic))}")
     (out_dir / "fig_loss_table.csv").write_text(
-        "# theoretical quantization losses\n" + "\n".join(rows) + "\n")
+        "# theoretical quantization losses\n"
+        + "\n".join(_loss_rows(SEVEN_NOISES, nb_all)) + "\n")
 
     reps = args.replications
     sample_every = max(1, args.horizon // 200)
@@ -257,7 +265,7 @@ def cmd_figures(args) -> int:
         for nb in nb_sim:
             cfg = _figure_config(SignalModel(SignalKind.CONSTANT), noise, nb,
                                  args, 0, args.horizon, reps)
-            cfg = _with(cfg, initial_offset=10.0)
+            cfg = replace(cfg, initial_offset=10.0)
             res = run_experiment(cfg, threads=args.threads)
             curve = res.loss_curve_db()
             for k in range(sample_every, args.horizon + 1, sample_every):
@@ -323,12 +331,14 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def _with(cfg: ExperimentConfig, **kw) -> ExperimentConfig:
-    from dataclasses import replace
-    return replace(cfg, **kw)
-
-
 # ---- argument parsing ---------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
 
@@ -374,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=2000)
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_figures)
 
     return parser

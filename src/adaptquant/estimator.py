@@ -1,25 +1,31 @@
 """Online adaptive estimators driven by quantized or continuous observations.
 
-The quantized recursion consumes only the quantizer symbol: the update is
-``gain * sign(symbol) * level[|symbol|]``, so the raw observation never
-crosses the module boundary.  The continuous-observation reference applies
-the (negated) noise score to the raw innovation instead.
+The quantized update is ``gain * sign(y - x_hat) * level[cell]``: only the
+quantizer cell enters it.  The continuous-observation reference applies the
+(negated) noise score to the raw innovation instead.  The kernel (``direction``
+and ``advance``) takes a float or an array of replications; the scalar steps
+here and the Monte Carlo engine both run it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .noise import NoiseModel
-from .quantizer import QuantizerDesign, QuantizerSpec, quantize
+from .quantizer import QuantizerDesign, QuantizerSpec
 
 
-class ScheduleKind(str, Enum):
+class SignalKind(str, Enum):
     CONSTANT = "constant"
     WIENER = "wiener"
     WIENER_DRIFT = "wiener_drift"
+
+
+ScheduleKind = SignalKind
 
 
 @dataclass(frozen=True)
@@ -36,34 +42,51 @@ class GainSchedule:
                     freeze the recursion.
     """
 
-    kind: ScheduleKind
+    kind: SignalKind
     info: float
     sigma_w: float = 0.0
     drift_gain: float = 1e-5
     u_floor: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ScheduleKind(self.kind))
+        object.__setattr__(self, "kind", SignalKind(self.kind))
         if not (self.info > 0.0 and math.isfinite(self.info)):
             raise ValueError(f"info must be positive and finite, got {self.info}")
         if self.sigma_w < 0.0:
             raise ValueError(f"sigma_w must be nonnegative, got {self.sigma_w}")
-        if self.kind is ScheduleKind.WIENER and self.sigma_w == 0.0:
+        if self.kind is SignalKind.WIENER and self.sigma_w == 0.0:
             raise ValueError("wiener schedule requires sigma_w > 0")
-        if self.kind is ScheduleKind.WIENER_DRIFT and self.drift_gain <= 0.0:
+        if self.kind is SignalKind.WIENER_DRIFT and self.drift_gain <= 0.0:
             raise ValueError(f"drift_gain must be positive, got {self.drift_gain}")
 
 
-def gain(schedule: GainSchedule, k: int, u_hat: float = 0.0) -> float:
-    """Gain for step k >= 1 (k counts the update being applied)."""
+def gain(schedule: GainSchedule, k: int, u_hat=0.0):
+    """Gain for step k >= 1 (k counts the update being applied).
+
+    ``np.power`` gives a float ``u_hat`` the same bits as an array element.
+    """
     if k < 1:
         raise ValueError(f"step index must be >= 1, got {k}")
-    if schedule.kind is ScheduleKind.CONSTANT:
+    if schedule.kind is SignalKind.CONSTANT:
         return 1.0 / (k * schedule.info)
-    if schedule.kind is ScheduleKind.WIENER:
+    if schedule.kind is SignalKind.WIENER:
         return schedule.sigma_w / math.sqrt(schedule.info)
-    u = max(abs(u_hat), schedule.u_floor)
-    return (4.0 * u * u / schedule.info**2) ** (1.0 / 3.0)
+    u = np.maximum(abs(u_hat), schedule.u_floor)
+    return np.power(4.0 * u * u / schedule.info**2, 1.0 / 3.0)
+
+
+def direction(diff, thresholds: np.ndarray, levels: np.ndarray):
+    """Signed output level of the cell of ``diff = y - x_hat``; 0 maps to +1."""
+    sign = (diff >= 0.0) * 2.0 - 1.0  # where(diff >= 0, 1, -1), cheap on a float
+    return sign * levels[thresholds.searchsorted(abs(diff), "right")]
+
+
+def advance(schedule: GainSchedule, k: int, x_hat, u_hat, direction):
+    """Step k: (x_hat + gain * direction, drift estimate smoothed if tracked)."""
+    update = gain(schedule, k, u_hat) * direction
+    if schedule.kind is SignalKind.WIENER_DRIFT:
+        u_hat = u_hat + schedule.drift_gain * (update - u_hat)
+    return x_hat + update, u_hat
 
 
 @dataclass(frozen=True)
@@ -81,25 +104,23 @@ class EstimatorState:
             raise ValueError(f"step counter must be >= 0, got {self.k}")
 
 
+def _step(state: EstimatorState, schedule: GainSchedule, d) -> EstimatorState:
+    k = state.k + 1
+    x_hat, u_hat = advance(schedule, k, state.x_hat, state.u_hat, d)
+    return EstimatorState(float(x_hat), k, float(u_hat))
+
+
 def step_quantized(state: EstimatorState, y: float, design: QuantizerDesign,
                    spec: QuantizerSpec, schedule: GainSchedule) -> EstimatorState:
     """Advance the estimate by one quantized observation.
 
-    The quantizer offset is the previous estimate; only the resulting
-    symbol enters the update.  For the drift schedule the drift estimate
-    is refreshed by first-order smoothing of the estimate increments.
+    The quantizer offset is the previous estimate.  The cell edges are
+    ``design.thresholds``, i.e. ``spec`` already scaled by the design step.
     """
     if not math.isfinite(y):
         raise ValueError(f"observation must be finite, got {y}")
-    symbol = quantize(y, state.x_hat, spec, design.step)
-    k = state.k + 1
-    g = gain(schedule, k, state.u_hat)
-    increment = g * math.copysign(1.0, symbol) * design.levels[abs(symbol) - 1]
-    x_new = state.x_hat + increment
-    u_new = state.u_hat
-    if schedule.kind is ScheduleKind.WIENER_DRIFT:
-        u_new = state.u_hat + schedule.drift_gain * (increment - state.u_hat)
-    return replace(state, x_hat=x_new, k=k, u_hat=u_new)
+    return _step(state, schedule,
+                 direction(y - state.x_hat, design.thresholds, design.levels))
 
 
 def step_continuous(state: EstimatorState, y: float, model: NoiseModel,
@@ -113,11 +134,4 @@ def step_continuous(state: EstimatorState, y: float, model: NoiseModel,
     """
     if not math.isfinite(y):
         raise ValueError(f"observation must be finite, got {y}")
-    k = state.k + 1
-    g = gain(schedule, k, state.u_hat)
-    increment = -g * model.score(y - state.x_hat)
-    x_new = state.x_hat + increment
-    u_new = state.u_hat
-    if schedule.kind is ScheduleKind.WIENER_DRIFT:
-        u_new = state.u_hat + schedule.drift_gain * (increment - state.u_hat)
-    return replace(state, x_hat=x_new, k=k, u_hat=u_new)
+    return _step(state, schedule, -model.score(y - state.x_hat))

@@ -10,7 +10,7 @@ ratios) and the Fisher information carried by one quantized observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,7 @@ class QuantizerDesign:
     levels[i] : output level for symbol i+1 (odd-extended to the negative side)
     info      : Fisher information of one quantized observation
     step      : input step, c_delta * delta
+    thresholds: finite positive cell edges, tau[:-1] * step
     """
 
     probs: np.ndarray
@@ -88,6 +89,7 @@ class QuantizerDesign:
     levels: np.ndarray
     info: float
     step: float
+    thresholds: np.ndarray
 
 
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
@@ -142,7 +144,8 @@ def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
     probs, drops = interval_stats(model, spec)
     levels = optimal_levels(probs, drops)
     info = fisher_quantized(probs, drops)
-    return QuantizerDesign(probs, drops, levels, info, spec.c_delta * model.delta)
+    step = spec.c_delta * model.delta
+    return QuantizerDesign(probs, drops, levels, info, step, spec.finite_tau * step)
 
 
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -265,7 +268,5 @@ def load_design(path):
     finite = tuple(float(t) for t in kv["tau"].split(",") if t)
     spec = QuantizerSpec(n, finite + (math.inf,), float(kv["c_delta"]))
     levels = np.array([float(v) for v in kv["eta"].split(",")])
-    probs, drops = interval_stats(model, spec)
-    design = QuantizerDesign(probs, drops, levels, float(kv["iq"]),
-                             spec.c_delta * model.delta)
+    design = replace(build_design(model, spec), levels=levels, info=float(kv["iq"]))
     return model, spec, design

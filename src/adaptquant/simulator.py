@@ -12,12 +12,11 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import analysis
-from .estimator import ScheduleKind
+from .estimator import GainSchedule, SignalKind, advance, direction
 from .noise import NoiseModel
 from .quantizer import QuantizerDesign, QuantizerSpec, build_design
 
@@ -27,12 +26,6 @@ CHUNK_SIZE = 512
 
 #: a replication whose estimate exceeds this many noise scales is aborted
 DIVERGENCE_FACTOR = 1e6
-
-
-class SignalKind(str, Enum):
-    CONSTANT = "constant"
-    WIENER = "wiener"
-    WIENER_DRIFT = "wiener_drift"
 
 
 @dataclass(frozen=True)
@@ -91,6 +84,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}"
             )
+        if not (0.0 < self.drift_gain < math.inf and 0.0 < self.u_floor < math.inf):
+            raise ValueError("drift_gain and u_floor must be positive and finite, "
+                             f"got {self.drift_gain}, {self.u_floor}")
+        starts = (self.initial_offset, self.drift_initial or 0.0)
+        if not all(map(math.isfinite, starts)):
+            raise ValueError(f"initial_offset, drift_initial must be finite: {starts}")
 
 
 @dataclass
@@ -106,15 +105,9 @@ class ExperimentResult:
 
     def loss_curve_db(self) -> np.ndarray:
         """Per-step simulated loss relative to the continuous-case reference."""
-        ic = self.metadata["ic"]
-        kind = SignalKind(self.metadata["signal_kind"])
-        k = np.arange(1, len(self.mse_curve) + 1)
-        if kind is SignalKind.CONSTANT:
-            baseline = 1.0 / (k * ic)
-        elif kind is SignalKind.WIENER:
-            baseline = analysis.bcrb_asymptotic_approx(ic, self.metadata["sigma_w"])
-        else:
-            baseline = 3.0 * (abs(self.metadata["u"]) / (4.0 * ic)) ** (2.0 / 3.0)
+        md = self.metadata
+        baseline = analysis.PerformancePrediction(md["ic"]).mse_curve(
+            md["signal_kind"], len(self.mse_curve), md["sigma_w"], md["u"])
         with np.errstate(divide="ignore"):
             return 10.0 * np.log10(self.mse_curve / baseline)
 
@@ -126,31 +119,18 @@ class DivergenceError(RuntimeError):
 # ---- core chunked simulation ------------------------------------------
 
 
-def _noise_matrix(model: NoiseModel, rngs, horizon):
-    rows = [model.sample(rng, horizon) for rng in rngs]
-    return np.vstack(rows)
-
-
 def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     """Squared-error matrix for replications [rep_lo, rep_hi) plus divergers."""
     signal, noise = config.signal, config.noise
     horizon = config.horizon
     rngs = [np.random.default_rng([config.seed, rep]) for rep in range(rep_lo, rep_hi)]
     paths = np.vstack([generate_path(signal, horizon, rng) for rng in rngs])
-    noises = _noise_matrix(noise, rngs, horizon)
+    noises = np.vstack([noise.sample(rng, horizon) for rng in rngs])
     n_rep = rep_hi - rep_lo
 
-    quantized = design is not None
-    if quantized:
-        info = design.info
-        thr = np.asarray(config.quantizer.tau[:-1]) * design.step
-        levels = design.levels
-    else:
-        info = noise.fisher_continuous()
-
-    kind = ScheduleKind(signal.kind.value)
-    if kind is ScheduleKind.WIENER:
-        g_const = signal.sigma_w / math.sqrt(info)
+    info = noise.fisher_continuous() if design is None else design.info
+    schedule = GainSchedule(signal.kind, info, signal.sigma_w,
+                            config.drift_gain, config.u_floor)
     u_hat = np.full(n_rep, signal.u if config.drift_initial is None
                     else config.drift_initial)
 
@@ -160,28 +140,17 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     err2 = np.empty((n_rep, horizon))
 
     for k in range(1, horizon + 1):
-        y = paths[:, k - 1] + noises[:, k - 1]
-        diff = y - x_hat
-        if kind is ScheduleKind.CONSTANT:
-            g = 1.0 / (k * info)
-        elif kind is ScheduleKind.WIENER:
-            g = g_const
-        else:
-            u_eff = np.maximum(np.abs(u_hat), config.u_floor)
-            g = (4.0 * u_eff**2 / info**2) ** (1.0 / 3.0)
-        if quantized:
-            idx = np.searchsorted(thr, np.abs(diff), side="right")
-            upd = g * np.where(diff >= 0.0, 1.0, -1.0) * levels[idx]
-        else:
-            upd = -g * noise.score(diff)
-        x_hat = x_hat + upd
-        if kind is ScheduleKind.WIENER_DRIFT:
-            u_hat = u_hat + config.drift_gain * (upd - u_hat)
-        newly_dead = (~dead) & (np.abs(x_hat) > limit)
+        x = paths[:, k - 1]
+        diff = x + noises[:, k - 1] - x_hat
+        d = (-noise.score(diff) if design is None
+             else direction(diff, design.thresholds, design.levels))
+        x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
+        # written so that a NaN estimate counts as diverged
+        newly_dead = (~dead) & ~(np.abs(x_hat) <= limit)
         if newly_dead.any():
             dead |= newly_dead
-            x_hat = np.where(dead, paths[:, k - 1], x_hat)
-        e = x_hat - paths[:, k - 1]
+            x_hat = np.where(dead, x, x_hat)
+        e = x_hat - x
         err2[:, k - 1] = e * e
 
     diverged = [rep_lo + i for i in np.nonzero(dead)[0]]
@@ -190,6 +159,8 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
 
 
 def _aggregate(config: ExperimentConfig, design, threads: int):
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     chunks = [(lo, min(lo + CHUNK_SIZE, config.replications))
               for lo in range(0, config.replications, CHUNK_SIZE)]
     if threads > 1:
@@ -224,34 +195,20 @@ def _continuous_info(noise: NoiseModel):
 
 def _finalize(config: ExperimentConfig, info: float, mse, diverged,
               quantized: bool, t0: float) -> ExperimentResult:
-    kind = config.signal.kind
-    k = np.arange(1, config.horizon + 1)
+    signal, kind = config.signal, config.signal.kind
     ic = _continuous_info(config.noise)
+    theory, baseline = [
+        analysis.PerformancePrediction(i).mse_curve(
+            kind, config.horizon, signal.sigma_w, signal.u) for i in (info, ic)]
     if kind is SignalKind.CONSTANT:
-        theory = 1.0 / (k * info)
-        asym = config.horizon * mse[-1]
-        sim_loss = 10.0 * math.log10(asym * ic) if ic == ic else math.nan
-    elif kind is SignalKind.WIENER:
-        theory = np.full(config.horizon, config.signal.sigma_w / math.sqrt(info))
-        asym = float(np.mean(mse[config.burn_in:]))
-        base = analysis.bcrb_asymptotic_approx(ic, config.signal.sigma_w)
-        sim_loss = 10.0 * math.log10(asym / base) if ic == ic else math.nan
+        # normalized variance k * mse_k at the last step
+        asym, sim = config.horizon * mse[-1], mse[-1]
     else:
-        theory = np.full(
-            config.horizon, 3.0 * (abs(config.signal.u) / (4.0 * info)) ** (2.0 / 3.0)
-        )
-        asym = float(np.mean(mse[config.burn_in:]))
-        base = 3.0 * (abs(config.signal.u) / (4.0 * ic)) ** (2.0 / 3.0)
-        sim_loss = 10.0 * math.log10(asym / base) if ic == ic else math.nan
-
-    if not quantized or ic != ic:
-        theory_loss = 0.0 if not quantized else math.nan
-    elif kind is SignalKind.CONSTANT:
-        theory_loss = analysis.loss_constant_db(info, ic)
-    elif kind is SignalKind.WIENER:
-        theory_loss = analysis.loss_wiener_db(info, ic)
-    else:
-        theory_loss = analysis.loss_drift_db(info, ic)
+        asym = sim = float(np.mean(mse[config.burn_in:]))
+    sim_loss = 10.0 * math.log10(sim / baseline[-1])
+    theory_loss = 0.0
+    if quantized:
+        theory_loss = analysis.loss_db(kind, info, ic) if ic == ic else math.nan
 
     meta = {
         "mode": "quantized" if quantized else "continuous",

@@ -16,6 +16,7 @@ from adaptquant.analysis import (
     crb_continuous,
     increment_variance,
     loss_constant_db,
+    loss_db,
     loss_drift_db,
     loss_wiener_db,
     mean_field_slope_general,
@@ -24,6 +25,7 @@ from adaptquant.analysis import (
     optimal_gamma_constant,
     sigma_inf_general,
 )
+from adaptquant.estimator import SignalKind
 from adaptquant.noise import gg, st
 from adaptquant.quantizer import design_uniform, mean_field
 
@@ -36,6 +38,15 @@ def test_loss_anchors_one_bit_gaussian():
     assert lq == pytest.approx(1.9612, abs=5e-5)
     assert loss_wiener_db(iq, ic) == pytest.approx(lq / 2.0, rel=1e-12)
     assert loss_drift_db(iq, ic) == pytest.approx(2.0 * lq / 3.0, rel=1e-12)
+
+
+def test_loss_db_per_signal_kind():
+    iq, ic = 4.0 / math.pi, 2.0
+    assert loss_db("constant", iq, ic) == loss_constant_db(iq, ic)
+    assert loss_db("wiener", iq, ic) == loss_wiener_db(iq, ic)
+    assert loss_db(SignalKind.WIENER_DRIFT, iq, ic) == loss_drift_db(iq, ic)
+    with pytest.raises(ValueError):
+        loss_db("sine", iq, ic)
 
 
 def test_loss_zero_when_no_information_is_lost():
@@ -95,6 +106,16 @@ def test_performance_prediction():
     u = 1e-4
     assert p.mse_drift(u) == pytest.approx(
         3.0 * (u / (4.0 * 4.0 / math.pi)) ** (2.0 / 3.0), rel=1e-14)
+
+
+def test_performance_prediction_mse_curve():
+    p = PerformancePrediction(info=2.0)
+    k = np.arange(1, 51)
+    np.testing.assert_array_equal(p.mse_curve("constant", 50), 1.0 / (k * 2.0))
+    np.testing.assert_array_equal(p.mse_curve(SignalKind.WIENER, 50, sigma_w=0.1),
+                                  np.full(50, p.mse_wiener(0.1)))
+    np.testing.assert_array_equal(p.mse_curve("wiener_drift", 50, u=-1e-4),
+                                  np.full(50, p.mse_drift(1e-4)))
 
 
 def test_general_levels_reduce_to_optimal():
@@ -174,7 +195,7 @@ def test_stability_detects_sign_flip():
     m = gg(2.0)
     spec, design = design_uniform(m, 4)
     broken = QuantizerDesign(design.probs, design.drops, -design.levels,
-                             design.info, design.step)
+                             design.info, design.step, design.thresholds)
     report = check_stability(m, broken, spec)
     assert not report.passed
     assert len(report.violations) > 0

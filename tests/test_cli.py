@@ -1,7 +1,9 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
 import math
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +208,56 @@ def test_figures_command_smoke(tmp_path):
         path = tmp_path / name
         assert path.exists(), name
         assert len(path.read_text().strip().splitlines()) > 1
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("body, where", [
+    ("[run]\nreplication = 10\n", "'replication' in section [run]"),
+    ("[drift_estimator]\ngian = 1e-5\n", "'gian' in section [drift_estimator]"),
+    ("[DEFAULT]\nseed = 3\n", "'seed' in section [DEFAULT]"),
+    ("[runs]\nreplications = 10\n", "section [runs]"),
+])
+def test_unknown_config_entries_rejected(tmp_path, body, where):
+    cfg_path = write_config(tmp_path / "typo.cfg", """\
+        [signal]
+        kind = constant
+
+        [noise]
+        family = gg
+        beta = 2.0
+
+        [quantizer]
+        cdelta = 0.69
+        """)
+    with open(cfg_path, "a") as fh:
+        fh.write(body)
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_experiment_config(cfg_path)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_example_configs_load(path):
+    config, mode = load_experiment_config(path)
+    assert mode == "quantized" and config.quantizer is not None
+
+
+def test_readme_config_block_loads(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg_path = tmp_path / "readme.cfg"
+    cfg_path.write_text(block)
+    config, mode = load_experiment_config(cfg_path)
+    assert mode == "quantized"
+    assert config.signal.kind.value == "wiener_drift"
+
+
+@pytest.mark.parametrize("subcommand", [["simulate", "--config", "x.cfg"],
+                                        ["figures"]])
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_must_be_positive(capsys, subcommand, threads):
+    with pytest.raises(SystemExit):
+        main(subcommand + ["--threads", threads])
+    assert "--threads" in capsys.readouterr().err

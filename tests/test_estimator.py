@@ -9,6 +9,9 @@ from adaptquant.estimator import (
     EstimatorState,
     GainSchedule,
     ScheduleKind,
+    SignalKind,
+    advance,
+    direction,
     gain,
     step_continuous,
     step_quantized,
@@ -152,3 +155,28 @@ def test_nonfinite_observation_rejected(gauss_design):
         step_quantized(EstimatorState(0.0), math.inf, design, spec, schedule)
     with pytest.raises(ValueError):
         step_continuous(EstimatorState(0.0), math.nan, m, schedule)
+
+
+def test_schedule_kind_is_the_signal_kind():
+    assert ScheduleKind is SignalKind
+
+
+def test_direction_on_floats_and_arrays(gauss_design):
+    m, spec, design = gauss_design
+    thr, levels = design.thresholds, design.levels
+    np.testing.assert_array_equal(thr, spec.finite_tau * design.step)
+    diffs = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, 3.0]) * design.step
+    expected = [-levels[-1], -levels[0], levels[0], levels[0], levels[0], levels[-1]]
+    assert [direction(float(d), thr, levels) for d in diffs] == expected
+    np.testing.assert_array_equal(direction(diffs, thr, levels), expected)
+
+
+def test_advance_on_floats_and_arrays():
+    s = GainSchedule(ScheduleKind.WIENER_DRIFT, 2.0, drift_gain=0.25)
+    x_hat = np.array([0.0, 1.0, -2.0])
+    u_hat = np.array([1e-3, 0.0, -5e-4])
+    d = np.array([0.5, -1.5, 2.0])
+    x_arr, u_arr = advance(s, 3, x_hat, u_hat, d)
+    for i in range(3):
+        x_i, u_i = advance(s, 3, float(x_hat[i]), float(u_hat[i]), float(d[i]))
+        assert (x_i, u_i) == (x_arr[i], u_arr[i])

@@ -5,9 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from adaptquant.estimator import (
+    EstimatorState,
+    GainSchedule,
+    step_continuous,
+    step_quantized,
+)
 from adaptquant.noise import gg, st
-from adaptquant.quantizer import QuantizerSpec, design_uniform
+from adaptquant.quantizer import QuantizerSpec, build_design, design_uniform
 from adaptquant.simulator import (
+    DivergenceError,
     ExperimentConfig,
     SignalKind,
     SignalModel,
@@ -57,10 +66,19 @@ def test_generate_path_statistics(rng):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        make_config(replications=0)
-    with pytest.raises(ValueError):
-        make_config(horizon=10, burn_in=10)
+    for overrides in [
+        dict(replications=0),
+        dict(horizon=10, burn_in=10),
+        dict(drift_gain=-1.0),
+        dict(drift_gain=0.0),
+        dict(u_floor=0.0),
+        dict(drift_gain=-1.0, u_floor=0.0),
+        dict(initial_offset=math.nan),
+        dict(initial_offset=math.inf),
+        dict(drift_initial=math.nan),
+    ]:
+        with pytest.raises(ValueError):
+            make_config(**overrides)
 
 
 def test_determinism_same_seed_and_threads():
@@ -221,9 +239,90 @@ def test_all_replications_diverging_raises():
     probs, drops = interval_stats(m, spec)
     # absurd levels make the fixed-gain recursion blow up
     design = QuantizerDesign(probs, drops, np.array([1e9]),
-                             info=4.0 / math.pi, step=1.0)
+                             info=4.0 / math.pi, step=1.0,
+                             thresholds=np.array([]))
     sig = SignalModel(SignalKind.WIENER, sigma_w=1.0)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=20,
                       horizon=100, burn_in=10, seed=29)
     with pytest.raises(DivergenceError):
         run_experiment(cfg, design=design)
+
+
+def test_nan_level_counts_as_diverged():
+    """A NaN estimate is caught by the divergence guard, not averaged in."""
+    m = gg(2.0)
+    spec = QuantizerSpec.uniform(4, 2.0)  # outer cell beyond 2 noise scales
+    design = build_design(m, spec)
+    one_nan = replace(design, levels=np.array([design.levels[0], np.nan]))
+    cfg = make_config(noise=m, quantizer=spec, initial_offset=0.0)
+    res = run_experiment(cfg, design=one_nan)
+    assert 0 < res.diverged < cfg.replications
+    assert np.all(np.isfinite(res.mse_curve))
+    assert math.isfinite(res.simulated_loss_db)
+    all_nan = replace(design, levels=np.array([np.nan, np.nan]))
+    with pytest.raises(DivergenceError):
+        run_experiment(cfg, design=all_nan)
+
+
+def test_threads_below_one_rejected():
+    with pytest.raises(ValueError):
+        run_experiment(make_config(), threads=0)
+    with pytest.raises(ValueError):
+        run_continuous_reference(make_config(quantizer=None), threads=-3)
+
+
+PARITY_SIGNALS = [
+    SignalModel(SignalKind.CONSTANT, x0=0.5),
+    SignalModel(SignalKind.WIENER, x0=0.5, sigma_w=0.01),
+    SignalModel(SignalKind.WIENER_DRIFT, x0=0.5, sigma_w=1e-3, u=1e-3),
+]
+
+
+def _replication_zero(cfg):
+    """Observations and path of replication 0, drawn as the engine draws them."""
+    rng = np.random.default_rng([cfg.seed, 0])
+    path = generate_path(cfg.signal, cfg.horizon, rng)
+    return path, path + cfg.noise.sample(rng, cfg.horizon)
+
+
+def _scalar_errors(cfg, info, step):
+    """Squared errors of the scalar API fed replication 0 one step at a time."""
+    sig = cfg.signal
+    path, ys = _replication_zero(cfg)
+    schedule = GainSchedule(sig.kind, info, sig.sigma_w, cfg.drift_gain, cfg.u_floor)
+    state = EstimatorState(sig.x0 + cfg.initial_offset,
+                           u_hat=sig.u if cfg.drift_initial is None
+                           else cfg.drift_initial)
+    err2 = np.empty(cfg.horizon)
+    for k in range(cfg.horizon):
+        state = step(state, float(ys[k]), schedule)
+        e = state.x_hat - path[k]
+        err2[k] = e * e
+    return err2
+
+
+@pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("drift_initial", [0.0, None])
+def test_scalar_api_matches_engine_quantized(signal, drift_initial):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    cfg = make_config(signal=signal, noise=m, quantizer=spec, replications=1,
+                      horizon=400, drift_initial=drift_initial,
+                      initial_offset=1.5)
+    res = run_experiment(cfg, design=design)
+    err2 = _scalar_errors(
+        cfg, design.info,
+        lambda state, y, schedule: step_quantized(state, y, design, spec, schedule))
+    assert np.array_equal(err2, res.mse_curve)
+
+
+@pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("noise", [gg(1.5), st(2.0)], ids=["gg1.5", "st2"])
+def test_scalar_api_matches_engine_continuous(signal, noise):
+    cfg = make_config(signal=signal, noise=noise, quantizer=None, replications=1,
+                      horizon=400, drift_initial=None, initial_offset=1.5)
+    res = run_continuous_reference(cfg)
+    err2 = _scalar_errors(
+        cfg, noise.fisher_continuous(),
+        lambda state, y, schedule: step_continuous(state, y, noise, schedule))
+    assert np.array_equal(err2, res.mse_curve)
