@@ -56,8 +56,11 @@ class GainSchedule:
             raise ValueError(f"sigma_w must be nonnegative, got {self.sigma_w}")
         if self.kind is SignalKind.WIENER and self.sigma_w == 0.0:
             raise ValueError("wiener schedule requires sigma_w > 0")
-        if self.kind is SignalKind.WIENER_DRIFT and self.drift_gain <= 0.0:
-            raise ValueError(f"drift_gain must be positive, got {self.drift_gain}")
+        if not 0.0 < self.u_floor < math.inf:
+            raise ValueError(f"u_floor must be positive and finite, got {self.u_floor}")
+        if self.kind is SignalKind.WIENER_DRIFT and not 0.0 < self.drift_gain < math.inf:
+            raise ValueError(
+                f"drift_gain must be positive and finite, got {self.drift_gain}")
 
 
 def gain(schedule: GainSchedule, k: int, u_hat=0.0):

@@ -61,46 +61,53 @@ class NoiseModel:
 
     def cdf(self, x):
         """Distribution function F(x); accepts scalars or arrays."""
-        if np.isscalar(x):
+        if isinstance(x, float) or np.isscalar(x):
             return self._cdf_normalized(float(x) / self.delta)
-        arr = np.asarray(x, dtype=float) / self.delta
-        return np.array([self._cdf_normalized(z) for z in arr.ravel()]).reshape(arr.shape)
+        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf, as for a float
+            return self._cdf_normalized(np.asarray(x, dtype=float) / self.delta)
 
-    def _cdf_normalized(self, z: float) -> float:
+    def _cdf_normalized(self, z):
+        if not isinstance(z, float):
+            return 0.5 * (1.0 + np.sign(z) * self._tail(np.abs(z), False))
         if math.isnan(z):
             return math.nan
         if z == 0.0:
             return 0.5
         sign = 1.0 if z > 0.0 else -1.0
-        b = self.beta
-        if self.family is Family.GG:
-            az = abs(z)
-            arg = math.inf if az > 1e150 else az**b
-            tail = regularized_gamma_p(1.0 / b, arg)
-        else:
-            if math.isinf(z):
-                tail = 1.0
-            else:
-                tail = 1.0 - incomplete_beta_regularized(b / (z * z + b), b / 2.0, 0.5)
-        return 0.5 * (1.0 + sign * tail)
+        return 0.5 * (1.0 + sign * self._tail(abs(z), False))
 
     def sf(self, x):
         """Survival function 1 - F(x), accurate deep in the upper tail."""
-        if np.isscalar(x):
+        if isinstance(x, float) or np.isscalar(x):
             return self._sf_normalized(float(x) / self.delta)
-        arr = np.asarray(x, dtype=float) / self.delta
-        return np.array([self._sf_normalized(z) for z in arr.ravel()]).reshape(arr.shape)
+        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf, as for a float
+            return self._sf_normalized(np.asarray(x, dtype=float) / self.delta)
 
-    def _sf_normalized(self, z: float) -> float:
+    def _sf_normalized(self, z):
+        if not isinstance(z, float):
+            out = np.empty(z.shape)
+            upper = z > 0.0
+            out[upper] = 0.5 * self._tail(z[upper], True)
+            out[~upper] = 1.0 - self._cdf_normalized(z[~upper])
+            return out
         if z <= 0.0:
             return 1.0 - self._cdf_normalized(z)
-        b = self.beta
         if math.isinf(z):
             return 0.0
+        return 0.5 * self._tail(z, True)
+
+    def _tail(self, az, upper: bool):
+        """P(|V| > az) if ``upper``, else P(|V| <= az), at the normalized
+        point az >= 0 (a float or an array): one special-function call."""
+        b = self.beta
         if self.family is Family.GG:
-            arg = math.inf if z > 1e150 else z**b
-            return 0.5 * regularized_gamma_q(1.0 / b, arg)
-        return 0.5 * incomplete_beta_regularized(b / (z * z + b), b / 2.0, 0.5)
+            if isinstance(az, float):
+                arg = math.inf if az > 1e150 else az**b
+            else:
+                arg = np.where(az > 1e150, np.inf, az**b)
+            return (regularized_gamma_q if upper else regularized_gamma_p)(1.0 / b, arg)
+        tail = incomplete_beta_regularized(b / (az * az + b), b / 2.0, 0.5)
+        return tail if upper else 1.0 - tail
 
     def score(self, x):
         """Logarithmic density derivative f'(x)/f(x)."""

@@ -103,19 +103,27 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     return mag if y >= offset else -mag
 
 
-def interval_stats(model: NoiseModel, spec: QuantizerSpec):
+def interval_stats(model: NoiseModel, spec: QuantizerSpec, c_delta=None):
     """Interval probabilities and density drops for offset at the parameter.
 
     Returns (probs, drops) over the positive half-line:
     probs[i] = F(tau_{i+1} step) - F(tau_i step) and
     drops[i] = f(tau_i step) - f(tau_{i+1} step), with f(inf) = 0.
+
+    Given an array ``c_delta``, the thresholds of ``spec`` are taken at each
+    of those step constants in place of ``spec.c_delta``: the result has one
+    row per step constant, from one ``sf`` and one ``pdf`` call on the
+    (steps x edges) matrix, and degenerate rows are left to the caller.
     """
-    step = spec.c_delta * model.delta
-    edges = np.concatenate(([0.0], np.asarray(spec.tau))) * step
-    sf = np.append(model.sf(edges[:-1]), 0.0)
-    pdf = np.where(np.isinf(edges), 0.0, model.pdf(np.where(np.isinf(edges), 0.0, edges)))
-    probs = -np.diff(sf)
-    drops = -np.diff(pdf)
+    c = spec.c_delta if c_delta is None else np.asarray(c_delta, dtype=float)
+    steps = np.reshape(c * model.delta, (-1, 1))
+    edges = np.concatenate(([0.0], spec.finite_tau)) * steps
+    beyond = np.zeros((len(steps), 1))  # sf and pdf at the infinite edge
+    probs = -np.diff(np.hstack((model.sf(edges), beyond)), axis=1)
+    drops = -np.diff(np.hstack((model.pdf(edges), beyond)), axis=1)
+    if c_delta is not None:
+        return probs, drops
+    probs, drops = probs[0], drops[0]
     if np.any(probs < MIN_INTERVAL_MASS):
         raise DesignError(
             f"degenerate quantization interval for c_delta={spec.c_delta}: "
@@ -132,12 +140,16 @@ def optimal_levels(probs: np.ndarray, drops: np.ndarray) -> np.ndarray:
     return np.asarray(drops, dtype=float) / probs
 
 
-def fisher_quantized(probs: np.ndarray, drops: np.ndarray) -> float:
-    """Fisher information of one quantized observation, 2 * sum(drops^2 / probs)."""
+def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
+    """Fisher information of one quantized observation, 2 * sum(drops^2 / probs).
+
+    A float for one design; an array with one value per row for 2-D input.
+    """
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < MIN_INTERVAL_MASS):
         raise DesignError("interval with vanishing probability mass")
-    return float(2.0 * np.sum(np.asarray(drops, dtype=float) ** 2 / probs))
+    info = 2.0 * np.sum(np.asarray(drops, dtype=float) ** 2 / probs, axis=-1)
+    return float(info) if info.ndim == 0 else info
 
 
 def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
@@ -151,10 +163,11 @@ def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
     """Grid-search the step constant maximizing the quantized information.
 
-    Uses unit-spaced normalized thresholds.  Ties (including flat profiles,
-    e.g. Laplace noise where the information is threshold-independent)
-    resolve to the smallest grid point.  Grid points whose design is
-    degenerate are skipped.
+    Uses unit-spaced normalized thresholds.  The whole grid is evaluated in
+    one ``interval_stats`` call.  Ties (including flat profiles, e.g.
+    Laplace noise where the information is threshold-independent) resolve
+    to the smallest grid point.  Grid points whose design is degenerate are
+    skipped.
     """
     lo, hi, step = grid
     if not (lo > 0 and hi >= lo and step > 0):
@@ -162,29 +175,18 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
-    best_c, best_info = None, -math.inf
-    first_c, first_info = None, None
-    worst_info = math.inf
-    for c in values:
-        try:
-            probs, drops = interval_stats(
-                model, QuantizerSpec.uniform(n_intervals, float(c))
-            )
-        except DesignError:
-            continue
-        info = fisher_quantized(probs, drops)
-        if first_c is None:
-            first_c, first_info = float(c), info
-        worst_info = min(worst_info, info)
-        if info > best_info:
-            best_c, best_info = float(c), info
-    if best_c is None:
+    probs, drops = interval_stats(model, QuantizerSpec.uniform(n_intervals, lo),
+                                  c_delta=values)
+    valid = ~np.any(probs < MIN_INTERVAL_MASS, axis=1)
+    if not valid.any():
         raise DesignError(f"no valid design on c_delta grid {grid}")
+    info = fisher_quantized(probs[valid], drops[valid])
+    best = int(np.argmax(info))  # the first maximum
     # flat profile (threshold-independent information, e.g. Laplace noise):
     # resolve to the smallest valid grid point
-    if best_info - worst_info <= 1e-12 * max(1.0, best_info):
-        return first_c, first_info
-    return best_c, best_info
+    if info[best] - info.min() <= 1e-12 * max(1.0, info[best]):
+        best = 0
+    return float(values[valid][best]), float(info[best])
 
 
 def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -253,8 +255,17 @@ def save_design(path, model: NoiseModel, spec: QuantizerSpec,
         fh.write("\n".join(lines) + "\n")
 
 
+#: relative distance allowed between a table's eta/iq and the recomputed design
+LOAD_RTOL = 1e-9
+
+
 def load_design(path):
-    """Load a design table; returns (model, spec, design)."""
+    """Load a design table; returns (model, spec, design).
+
+    The levels ``eta`` and the information ``iq`` must match, within
+    ``LOAD_RTOL``, the design recomputed from the table's noise and
+    geometry; the table's values are the ones returned.
+    """
     kv = {}
     with open(path) as fh:
         for line in fh:
@@ -267,6 +278,15 @@ def load_design(path):
     n = int(kv["n_intervals"])
     finite = tuple(float(t) for t in kv["tau"].split(",") if t)
     spec = QuantizerSpec(n, finite + (math.inf,), float(kv["c_delta"]))
+    design = build_design(model, spec)
     levels = np.array([float(v) for v in kv["eta"].split(",")])
-    design = replace(build_design(model, spec), levels=levels, info=float(kv["iq"]))
-    return model, spec, design
+    if levels.shape != design.levels.shape or not np.all(np.isfinite(levels)):
+        raise ValueError(f"eta must hold {n // 2} finite levels, got {kv['eta']!r}")
+    if np.any(np.abs(levels - design.levels) > LOAD_RTOL * np.abs(design.levels)):
+        raise ValueError(f"eta {kv['eta']!r} does not match the levels "
+                         f"{design.levels.tolist()} of the table's geometry")
+    info = float(kv["iq"])
+    if not abs(info - design.info) <= LOAD_RTOL * design.info:
+        raise ValueError(f"iq {kv['iq']!r} does not match the information "
+                         f"{design.info!r} of the table's geometry")
+    return model, spec, replace(design, levels=levels, info=info)

@@ -250,15 +250,33 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
     """Run the quantized-observation experiment described by ``config``.
 
     ``design`` may be passed to reuse a precomputed design table; otherwise
-    it is built from the config's quantizer spec.
+    it is built from the config's quantizer spec.  A passed design must have
+    that spec's geometry (level count, step and cell edges); its levels and
+    information are taken as given.
     """
     if config.quantizer is None:
         raise ValueError("config has no quantizer spec; use run_continuous_reference")
     t0 = time.perf_counter()
     if design is None:
         design = build_design(config.noise, config.quantizer)
+    else:
+        _check_geometry(design, config)
     mse, diverged = _aggregate(config, design, threads)
     return _finalize(config, design.info, mse, diverged, True, t0)
+
+
+def _check_geometry(design: QuantizerDesign, config: ExperimentConfig) -> None:
+    spec = config.quantizer
+    step = spec.c_delta * config.noise.delta
+    if len(design.levels) != spec.n_intervals // 2:
+        raise ValueError(f"design has {len(design.levels)} levels, the config's "
+                         f"{spec.n_intervals}-cell quantizer needs {spec.n_intervals // 2}")
+    if design.step != step:
+        raise ValueError(f"design step {design.step!r} is not the config's "
+                         f"c_delta * delta = {step!r}")
+    if not np.array_equal(design.thresholds, spec.finite_tau * step):
+        raise ValueError(f"design thresholds {design.thresholds.tolist()} are not "
+                         f"the config's tau * step {(spec.finite_tau * step).tolist()}")
 
 
 def run_continuous_reference(config: ExperimentConfig,

@@ -33,8 +33,19 @@ def test_schedule_validation():
         GainSchedule(ScheduleKind.CONSTANT, 0.0)
     with pytest.raises(ValueError):
         GainSchedule(ScheduleKind.WIENER, 1.0)  # needs sigma_w
-    with pytest.raises(ValueError):
-        GainSchedule(ScheduleKind.WIENER_DRIFT, 1.0, drift_gain=0.0)
+    for kind, overrides in [
+        (ScheduleKind.WIENER_DRIFT, dict(drift_gain=0.0)),
+        (ScheduleKind.WIENER_DRIFT, dict(drift_gain=math.inf)),
+        (ScheduleKind.WIENER_DRIFT, dict(drift_gain=math.nan)),
+        # a zero floor freezes the gain at 0 while the drift estimate is 0
+        (ScheduleKind.WIENER_DRIFT, dict(u_floor=0.0)),
+        (ScheduleKind.WIENER_DRIFT, dict(u_floor=-1e-8)),
+        (ScheduleKind.WIENER_DRIFT, dict(u_floor=math.inf)),
+        (ScheduleKind.WIENER_DRIFT, dict(u_floor=math.nan)),
+        (ScheduleKind.CONSTANT, dict(u_floor=0.0)),
+    ]:
+        with pytest.raises(ValueError):
+            GainSchedule(kind, 1.0, **overrides)
     # string values coerce to the enum
     s = GainSchedule("constant", 2.0)
     assert s.kind is ScheduleKind.CONSTANT

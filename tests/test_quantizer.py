@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adaptquant.noise import gg, st
+from adaptquant.noise import STANDARD_SHAPES, NoiseModel, gg, st
 from adaptquant.quantizer import (
+    MIN_INTERVAL_MASS,
     DesignError,
     QuantizerSpec,
     build_design,
@@ -141,6 +142,69 @@ def test_optimize_cdelta_gauss_two_bits():
     assert 0.01 < c < 10.0
 
 
+def reference_search(model, n_intervals, grid):
+    """The search as a loop: one interval_stats call per grid point.
+
+    Returns (c_delta, info at each valid point, the degenerate points).
+    """
+    lo, hi, step = grid
+    infos, degenerate = {}, set()
+    for c in np.round(np.arange(lo, hi + step / 2, step), 12):
+        try:
+            probs, drops = interval_stats(model,
+                                          QuantizerSpec.uniform(n_intervals, float(c)))
+        except DesignError:
+            degenerate.add(float(c))
+            continue
+        infos[float(c)] = fisher_quantized(probs, drops)
+    best = max(infos, key=infos.get)  # the first maximum
+    if infos[best] - min(infos.values()) <= 1e-12 * max(1.0, infos[best]):
+        best = next(iter(infos))  # flat profile: the smallest valid point
+    return best, infos, degenerate
+
+
+def assert_search_matches_loop(model, n_intervals, grid):
+    c, info = optimize_cdelta(model, n_intervals, grid)
+    ref_c, ref_infos, ref_degenerate = reference_search(model, n_intervals, grid)
+    assert c == ref_c
+    assert info == pytest.approx(ref_infos[ref_c], rel=1e-13)
+    values = np.round(np.arange(grid[0], grid[1] + grid[2] / 2, grid[2]), 12)
+    probs, drops = interval_stats(model, QuantizerSpec.uniform(n_intervals, 1.0),
+                                  c_delta=values)
+    degenerate = np.any(probs < MIN_INTERVAL_MASS, axis=1)
+    assert set(values[degenerate].tolist()) == ref_degenerate
+    np.testing.assert_allclose(fisher_quantized(probs[~degenerate], drops[~degenerate]),
+                               list(ref_infos.values()), rtol=1e-13)
+    return ref_degenerate
+
+
+@pytest.mark.parametrize("family,beta", STANDARD_SHAPES)
+@pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
+def test_batched_search_matches_point_loop(family, beta, nbits):
+    assert_search_matches_loop(NoiseModel(family, beta), 2 ** nbits, (0.05, 10.0, 0.05))
+
+
+@pytest.mark.parametrize("nbits", [2, 3])
+def test_batched_search_flat_laplace_profile(nbits):
+    assert_search_matches_loop(gg(1.0), 2 ** nbits, (0.05, 10.0, 0.05))
+    assert optimize_cdelta(gg(1.0), 2 ** nbits, (0.05, 10.0, 0.05))[0] == 0.05
+
+
+def test_batched_search_degenerate_upper_end():
+    # the outer cell of a 3-bit GG beta=2 design has no mass beyond c ~ 8.8
+    degenerate = assert_search_matches_loop(gg(2.0), 8, (0.5, 30.0, 0.5))
+    assert degenerate == {c / 2.0 for c in range(18, 61)}
+    with pytest.raises(DesignError):
+        optimize_cdelta(gg(2.0), 8, (10.0, 30.0, 0.5))
+
+
+def test_search_value_is_the_design_value():
+    for family, beta in STANDARD_SHAPES:
+        m = NoiseModel(family, beta)
+        spec, design = design_uniform(m, 8)
+        assert design.info == optimize_cdelta(m, 8)[1]
+
+
 def test_build_design_consistency():
     m = st(3.0)
     spec = QuantizerSpec.uniform(4, 0.8)
@@ -178,6 +242,40 @@ def test_design_roundtrip(tmp_path):
     np.testing.assert_allclose(design2.probs, design.probs, rtol=1e-14)
     assert design2.info == design.info
     assert design2.step == design.step
+
+
+def edited_table(path, **changes):
+    """The saved design table at ``path`` with some values replaced."""
+    lines = []
+    for line in path.read_text().splitlines():
+        key = line.partition("=")[0].strip()
+        lines.append(f"{key} = {changes[key]}" if key in changes else line)
+    out = path.with_name("edited.txt")
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def test_load_design_rejects_levels_and_info_off_the_geometry(tmp_path):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    eta = [repr(float(v)) for v in design.levels]
+    for key, value in [
+        ("eta", ",".join(["nan"] + eta[1:])),
+        ("eta", ",".join(eta[:-1] + ["inf"])),
+        ("eta", ",".join(eta[:-1])),                      # N/2 - 1 levels
+        ("eta", ",".join(eta + eta[-1:])),                # N/2 + 1 levels
+        ("eta", ",".join(eta[:-1] + [repr(float(design.levels[-1]) * (1 + 1e-6))])),
+        ("iq", "123.0"),
+        ("iq", "nan"),
+        ("iq", repr(design.info * (1 + 1e-6))),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            load_design(edited_table(path, **{key: value}))
+    # within 1e-9 of the recomputed design loads, with the table's values
+    _, _, loaded = load_design(edited_table(path, iq=repr(design.info * (1 + 1e-12))))
+    assert loaded.info == design.info * (1 + 1e-12)
 
 
 def test_mean_field_properties():

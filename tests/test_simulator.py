@@ -264,6 +264,22 @@ def test_nan_level_counts_as_diverged():
         run_experiment(cfg, design=all_nan)
 
 
+def test_design_must_match_config_geometry():
+    m = gg(2.0)
+    spec2, design2 = design_uniform(m, 4)
+    _, design3 = design_uniform(m, 8)
+    cfg = make_config(noise=m, quantizer=spec2, replications=10, horizon=20)
+    other_step = build_design(m, replace(spec2, c_delta=spec2.c_delta + 0.01))
+    for design, what in [
+        (design3, "levels"),                                  # 3-bit design, 2-bit spec
+        (other_step, "design step"),
+        (replace(design2, thresholds=design2.thresholds * 1.5), "design thresholds"),
+    ]:
+        with pytest.raises(ValueError, match=what):
+            run_experiment(cfg, design=design)
+    assert run_experiment(cfg, design=design2).metadata["nbits"] == 2
+
+
 def test_threads_below_one_rejected():
     with pytest.raises(ValueError):
         run_experiment(make_config(), threads=0)
