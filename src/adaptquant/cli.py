@@ -257,6 +257,12 @@ def cmd_figures(args) -> int:
 
     reps = args.replications
     sample_every = max(1, args.horizon // 200)
+    results = {}  # by config: fig_wiener_sigma repeats the sigma_w = 0.001 runs
+
+    def run(cfg):
+        if cfg not in results:
+            results[cfg] = run_experiment(cfg, threads=args.threads)
+        return results[cfg]
 
     # constant-case convergence curves
     rows = ["family,beta,nbits,k,loss_sim_db,loss_theory_db"]
@@ -266,7 +272,7 @@ def cmd_figures(args) -> int:
             cfg = _figure_config(SignalModel(SignalKind.CONSTANT), noise, nb,
                                  args, 0, args.horizon, reps)
             cfg = replace(cfg, initial_offset=10.0)
-            res = run_experiment(cfg, threads=args.threads)
+            res = run(cfg)
             curve = res.loss_curve_db()
             for k in range(sample_every, args.horizon + 1, sample_every):
                 rows.append(f"{fam},{_fmt(beta)},{nb},{k},"
@@ -285,7 +291,7 @@ def cmd_figures(args) -> int:
             cfg = _figure_config(
                 SignalModel(SignalKind.WIENER, sigma_w=0.001), noise, nb,
                 args, burn_w, horizon_w, reps)
-            res = run_experiment(cfg, threads=args.threads)
+            res = run(cfg)
             rows.append(f"{fam},{_fmt(beta)},{nb},0.001,"
                         f"{_fmt(res.simulated_loss_db)},{_fmt(res.theory_loss_db)}")
     (out_dir / "fig_wiener.csv").write_text(
@@ -301,7 +307,7 @@ def cmd_figures(args) -> int:
                 cfg = _figure_config(
                     SignalModel(SignalKind.WIENER, sigma_w=sigma_w), noise, nb,
                     args, burn_w, horizon_w, reps)
-                res = run_experiment(cfg, threads=args.threads)
+                res = run(cfg)
                 rows.append(f"{fam},{_fmt(beta)},{nb},{_fmt(sigma_w)},"
                             f"{_fmt(res.simulated_loss_db)},"
                             f"{_fmt(res.theory_loss_db)}")
@@ -316,7 +322,7 @@ def cmd_figures(args) -> int:
             cfg = _figure_config(
                 SignalModel(SignalKind.WIENER_DRIFT, sigma_w=1e-4, u=1e-4),
                 noise, nb, args, burn_w, horizon_w, reps)
-            res = run_experiment(cfg, threads=args.threads)
+            res = run(cfg)
             rows.append(f"{fam},{_fmt(beta)},{nb},1e-04,1e-04,1e-05,"
                         f"{_fmt(res.simulated_loss_db)},{_fmt(res.theory_loss_db)}")
     (out_dir / "fig_drift.csv").write_text(

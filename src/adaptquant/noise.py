@@ -15,11 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .special import (
-    incomplete_beta_regularized,
-    regularized_gamma_p,
-    regularized_gamma_q,
-)
+from .special import incomplete_beta_regularized, regularized_gamma_q
 
 
 class Family(str, Enum):
@@ -60,54 +56,40 @@ class NoiseModel:
         return float(out) if np.isscalar(x) else out
 
     def cdf(self, x):
-        """Distribution function F(x); accepts scalars or arrays."""
+        """Distribution function F(x) = sf(-x), as both families are symmetric."""
         if isinstance(x, float) or np.isscalar(x):
-            return self._cdf_normalized(float(x) / self.delta)
-        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf, as for a float
-            return self._cdf_normalized(np.asarray(x, dtype=float) / self.delta)
-
-    def _cdf_normalized(self, z):
-        if not isinstance(z, float):
-            return 0.5 * (1.0 + np.sign(z) * self._tail(np.abs(z), False))
-        if math.isnan(z):
-            return math.nan
-        if z == 0.0:
-            return 0.5
-        sign = 1.0 if z > 0.0 else -1.0
-        return 0.5 * (1.0 + sign * self._tail(abs(z), False))
+            return self.sf(-x)
+        return self.sf(-np.asarray(x, dtype=float))
 
     def sf(self, x):
-        """Survival function 1 - F(x), accurate deep in the upper tail."""
+        """Survival function 1 - F(x); accepts scalars or arrays.
+
+        Half the two-sided tail above 0 and one minus it below, so each
+        side is accurate deep in its own tail.
+        """
         if isinstance(x, float) or np.isscalar(x):
-            return self._sf_normalized(float(x) / self.delta)
+            z = float(x) / self.delta
+            half = 0.5 * self._tail(abs(z))
+            return half if z > 0.0 else 1.0 - half
         with np.errstate(over="ignore"):  # |z|**beta or z*z is inf, as for a float
-            return self._sf_normalized(np.asarray(x, dtype=float) / self.delta)
+            z = np.asarray(x, dtype=float) / self.delta
+            half = 0.5 * self._tail(np.abs(z))
+        return np.where(z > 0.0, half, 1.0 - half)
 
-    def _sf_normalized(self, z):
-        if not isinstance(z, float):
-            out = np.empty(z.shape)
-            upper = z > 0.0
-            out[upper] = 0.5 * self._tail(z[upper], True)
-            out[~upper] = 1.0 - self._cdf_normalized(z[~upper])
-            return out
-        if z <= 0.0:
-            return 1.0 - self._cdf_normalized(z)
-        if math.isinf(z):
-            return 0.0
-        return 0.5 * self._tail(z, True)
-
-    def _tail(self, az, upper: bool):
-        """P(|V| > az) if ``upper``, else P(|V| <= az), at the normalized
-        point az >= 0 (a float or an array): one special-function call."""
+    def _tail(self, az):
+        """P(|V| > az) at the normalized point az >= 0 (a float or an
+        array): one special-function call."""
         b = self.beta
         if self.family is Family.GG:
             if isinstance(az, float):
-                arg = math.inf if az > 1e150 else az**b
+                try:
+                    arg = math.inf if az > 1e150 else az**b
+                except OverflowError:  # az**b beyond the float range
+                    arg = math.inf
             else:
                 arg = np.where(az > 1e150, np.inf, az**b)
-            return (regularized_gamma_q if upper else regularized_gamma_p)(1.0 / b, arg)
-        tail = incomplete_beta_regularized(b / (az * az + b), b / 2.0, 0.5)
-        return tail if upper else 1.0 - tail
+            return regularized_gamma_q(1.0 / b, arg)
+        return incomplete_beta_regularized(b / (az * az + b), b / 2.0, 0.5)
 
     def score(self, x):
         """Logarithmic density derivative f'(x)/f(x)."""

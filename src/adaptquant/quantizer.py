@@ -205,22 +205,21 @@ def mean_field(model: NoiseModel, design: QuantizerDesign, spec: QuantizerSpec,
 
     Zero at eps = 0; negative for eps > 0 and positive for eps < 0 for any
     valid symmetric design, which is what makes the recursion stable.
+
+    The cell masses come from ``sf`` at eps and at eps +- each finite edge
+    of ``design.thresholds``, one call per point; sf is 0 at the edge +inf
+    and 1 at -inf.  ``spec`` is not read: the design holds the edges.
     """
-    step = design.step
-    edges = np.concatenate(([0.0], np.asarray(spec.tau)))
+    edges = design.thresholds.tolist()
+    centre = model.sf(eps)
+    upper = [centre, *(model.sf(eps + t) for t in edges), 0.0]
+    lower = [centre, *(model.sf(eps - t) for t in edges), 1.0]
     total = 0.0
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i] * step, edges[i + 1] * step
-        pos = _cdf_at(model, hi + eps) - _cdf_at(model, lo + eps)
-        neg = _cdf_at(model, -lo + eps) - _cdf_at(model, -hi + eps)
-        total += design.levels[i] * (pos - neg)
+    for i, level in enumerate(design.levels.tolist()):
+        pos = upper[i] - upper[i + 1]
+        neg = lower[i + 1] - lower[i]
+        total += level * (pos - neg)
     return total
-
-
-def _cdf_at(model, x):
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    return model.cdf(x)
 
 
 def mean_field_slope(model: NoiseModel, design: QuantizerDesign,

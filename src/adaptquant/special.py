@@ -33,19 +33,9 @@ def regularized_gamma_p(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
     if a <= 0.0:
         raise ValueError(f"shape a must be positive, got {a}")
-    if isinstance(x, np.ndarray):
-        return _by_region(x, math.inf, (0.0, 1.0), a + 1.0,
-                          lambda v: _gamma_p_series(a, v, _Active(v.size)),
-                          lambda v: 1.0 - _gamma_q_contfrac(a, v, _Active(v.size)))
-    if x < 0.0:
-        raise ValueError(f"argument x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    if x < a + 1.0:
-        return _gamma_p_series(a, x)
-    return 1.0 - _gamma_q_contfrac(a, x)
+    return _by_region(x, math.inf, (0.0, 1.0), a + 1.0,
+                      lambda v, active: _gamma_p_series(a, v, active),
+                      lambda v, active: 1.0 - _gamma_q_contfrac(a, v, active))
 
 
 def regularized_gamma_q(a: float, x):
@@ -56,19 +46,9 @@ def regularized_gamma_q(a: float, x):
     """
     if a <= 0.0:
         raise ValueError(f"shape a must be positive, got {a}")
-    if isinstance(x, np.ndarray):
-        return _by_region(x, math.inf, (1.0, 0.0), a + 1.0,
-                          lambda v: 1.0 - _gamma_p_series(a, v, _Active(v.size)),
-                          lambda v: _gamma_q_contfrac(a, v, _Active(v.size)))
-    if x < 0.0:
-        raise ValueError(f"argument x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if math.isinf(x):
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
+    return _by_region(x, math.inf, (1.0, 0.0), a + 1.0,
+                      lambda v, active: 1.0 - _gamma_p_series(a, v, active),
+                      lambda v, active: _gamma_q_contfrac(a, v, active))
 
 
 def incomplete_gamma_lower(a: float, x):
@@ -80,32 +60,30 @@ def incomplete_beta_regularized(x, a: float, b: float):
     """Regularized incomplete beta I_x(a, b)."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    switch = (a + 1.0) / (a + b + 2.0)
-    if isinstance(x, np.ndarray):
-        return _by_region(x, 1.0, (0.0, 1.0), switch,
-                          lambda v: _beta_front(v, a, b, np)
-                          * _beta_contfrac(v, a, b, _Active(v.size)) / a,
-                          lambda v: 1.0 - _beta_front(v, a, b, np)
-                          * _beta_contfrac(1.0 - v, b, a, _Active(v.size)) / b)
-    if x < 0.0 or x > 1.0:
-        raise ValueError(f"argument x must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = _beta_front(x, a, b, math)
-    if x < switch:
-        return front * _beta_contfrac(x, a, b) / a
-    return 1.0 - front * _beta_contfrac(1.0 - x, b, a) / b
+    return _by_region(x, 1.0, (0.0, 1.0), (a + 1.0) / (a + b + 2.0),
+                      lambda v, active: _beta_front(v, a, b)
+                      * _beta_contfrac(v, a, b, active) / a,
+                      lambda v, active: 1.0 - _beta_front(v, a, b)
+                      * _beta_contfrac(1.0 - v, b, a, active) / b)
 
 
 def _by_region(x, upper, at_ends, switch, below, above):
-    """Array form of the functions above, on the domain [0, upper].
+    """Evaluate one of the functions above on its domain [0, upper].
 
-    The endpoints 0 and ``upper`` take the values ``at_ends``; the other
-    elements go to ``below`` under the switch point and to ``above`` from
-    it on (NaN included, as a float would).
+    The endpoints 0 and ``upper`` take the values ``at_ends``; any other
+    point goes to ``below`` under the switch point and to ``above`` from it
+    on (NaN included).  A float is passed on as it is, with no ``_Active``;
+    an array is split into the two sides, each passed on as one 1-D array
+    with its own ``_Active``.
     """
+    if not isinstance(x, np.ndarray):
+        if x < 0.0 or x > upper:
+            raise ValueError(f"argument x must be in [0, {upper}], got {x}")
+        if x == 0.0:
+            return at_ends[0]
+        if x == upper:
+            return at_ends[1]
+        return (below if x < switch else above)(x, None)
     x = np.asarray(x, dtype=float)
     bad = (x < 0.0) | (x > upper)
     if bad.any():
@@ -117,7 +95,8 @@ def _by_region(x, upper, at_ends, switch, below, above):
     under = x < switch
     for part, fn in ((inner & under, below), (inner & ~under, above)):
         if part.any():
-            out[part] = fn(x[part])
+            v = x[part]
+            out[part] = fn(v, _Active(v.size))
     return out
 
 
@@ -218,7 +197,8 @@ def _gamma_q_contfrac(a, x, active=None):
     return h * prefactor
 
 
-def _beta_front(x, a, b, xp):
+def _beta_front(x, a, b):
+    xp = np if isinstance(x, np.ndarray) else math
     return xp.exp(
         math.lgamma(a + b)
         - math.lgamma(a)

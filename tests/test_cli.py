@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adaptquant import cli
 from adaptquant.cli import load_experiment_config, main
+from adaptquant.simulator import run_experiment
 
 
 def run_cli(args):
@@ -198,10 +200,21 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert a != b
 
 
-def test_figures_command_smoke(tmp_path):
+def test_figures_command_smoke(tmp_path, monkeypatch):
+    configs = []
+
+    def counting_run(config, **kwargs):
+        configs.append(config)
+        return run_experiment(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", counting_run)
     rc = main(["figures", "--out", str(tmp_path), "--replications", "16",
                "--horizon", "64", "--threads", "2"])
     assert rc == 0
+    # 28 constant, 28 wiener, 8 fast wiener and 8 drift runs; the slow wiener
+    # runs of fig_wiener_sigma.csv reuse those of fig_wiener.csv
+    assert len(configs) == 72
+    assert len(set(configs)) == 72
     expected = ["fig_loss_table.csv", "fig_constant.csv", "fig_wiener.csv",
                 "fig_wiener_sigma.csv", "fig_drift.csv"]
     for name in expected:

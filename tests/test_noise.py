@@ -98,10 +98,23 @@ def test_sf_complements_cdf_and_is_tail_accurate():
     assert m.sf(100.0) == pytest.approx(0.5 * math.exp(-100.0), rel=1e-10)
 
 
-@pytest.mark.parametrize("family,beta", ALL_SHAPES + [(Family.GG, 0.7)])
+def test_cdf_lower_tail_matches_closed_forms():
+    # where 1 - P(|V| <= |x|) would cancel to 0 or lose digits; abs=0 as
+    # the values are far below pytest.approx's default absolute tolerance
+    for got, want in [(gg(1.0).cdf(-100.0), 0.5 * math.exp(-100.0)),
+                      (gg(2.0).cdf(-10.0), 0.5 * math.erfc(10.0)),
+                      (st(1.0).cdf(-1e8), math.atan(1e-8) / math.pi)]:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family,beta",
+                         ALL_SHAPES + [(Family.GG, 0.7), (Family.GG, 10.0)])
 def test_cdf_sf_arrays_match_scalar_calls(family, beta):
     m = NoiseModel(family, beta, 1.3)
-    x = np.concatenate([[-math.inf, -1e200, 0.0, -0.0, 1e200, math.inf],
+    # |x / delta|**beta overflows below the 1e150 cut-off of the tail
+    # argument: at 1e140 for GG beta = 2.5, from 1e110 on for beta >= 3
+    x = np.concatenate([[-math.inf, -1e200, -1e140, -1e110, 0.0, -0.0,
+                         1e110, 1e140, 1e200, math.inf],
                         np.geomspace(1e-8, 1e3, 60), -np.geomspace(1e-8, 1e3, 60)])
     for fn in (m.cdf, m.sf):
         got = fn(x.reshape(2, -1))

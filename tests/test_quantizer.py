@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adaptquant.noise import STANDARD_SHAPES, NoiseModel, gg, st
+from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
     MIN_INTERVAL_MASS,
     DesignError,
@@ -291,3 +291,47 @@ def test_mean_field_properties():
     slope_fd = (mean_field(m, design, spec, h)
                 - mean_field(m, design, spec, -h)) / (2.0 * h)
     assert mean_field_slope(m, design, spec) == pytest.approx(slope_fd, rel=1e-4)
+
+
+def mean_field_by_cdf_pairs(model, design, spec, eps):
+    """The mean field as a sum over cells of cdf differences at both ends,
+    with the edges rebuilt from ``spec`` and F(+-inf) taken as 1 and 0."""
+    def cdf(x):
+        return (1.0 if x > 0 else 0.0) if math.isinf(x) else model.cdf(x)
+
+    edges = np.concatenate(([0.0], np.asarray(spec.tau))) * design.step
+    total = 0.0
+    for i, level in enumerate(design.levels):
+        lo, hi = edges[i], edges[i + 1]
+        pos = cdf(hi + eps) - cdf(lo + eps)
+        neg = cdf(-lo + eps) - cdf(-hi + eps)
+        total += level * (pos - neg)
+    return total
+
+
+@pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
+def test_mean_field_matches_cdf_pairs(nbits, cached_design):
+    for family, beta in STANDARD_SHAPES:
+        model, spec, design = cached_design(family, beta, nbits)
+        for eps in np.linspace(-10.0, 10.0, 21).tolist() + [1e-3, -1e-3]:
+            assert mean_field(model, design, spec, eps) == pytest.approx(
+                mean_field_by_cdf_pairs(model, design, spec, eps), rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
+def test_mean_field_evaluates_each_edge_once(nbits, cached_design, monkeypatch):
+    model, spec, design = cached_design(Family.ST, 2.0, nbits)
+    points = []
+    sf = NoiseModel.sf
+
+    def counting_sf(self, x):
+        points.append(x)
+        return sf(self, x)
+
+    monkeypatch.setattr(NoiseModel, "sf", counting_sf)
+    for eps in [0.37, -1.2, 0.0]:
+        points.clear()
+        mean_field(model, design, spec, eps)
+        # sf at eps and at eps +- each finite edge, every point once
+        assert len(points) == 2 * (2**nbits // 2) - 1
+        assert len(set(points)) == len(points)
