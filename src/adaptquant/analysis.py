@@ -9,7 +9,7 @@ import numpy as np
 
 from .estimator import SignalKind
 from .noise import NoiseModel
-from .quantizer import QuantizerDesign, QuantizerSpec, mean_field
+from .quantizer import QuantizerDesign, mean_field
 
 # ---- quantization losses in dB ---------------------------------------
 
@@ -106,28 +106,6 @@ class PerformancePrediction:
                        else self.mse_drift(u))
 
 
-@dataclass(frozen=True)
-class BoundSet:
-    """Continuous-measurement reference bounds for a given noise information."""
-
-    ic: float
-    sigma_w: float = 0.0
-
-    def crb(self, k: int) -> float:
-        return crb_continuous(self.ic, k)
-
-    def bcrb_seq(self, n_steps: int) -> np.ndarray:
-        return 1.0 / bcrb_recursion(self.ic, self.sigma_w, n_steps)
-
-    @property
-    def bcrb_inf(self) -> float:
-        return bcrb_asymptotic(self.ic, self.sigma_w)
-
-    @property
-    def bcrb_inf_approx(self) -> float:
-        return bcrb_asymptotic_approx(self.ic, self.sigma_w)
-
-
 # ---- general (suboptimal-level) asymptotics ---------------------------
 
 
@@ -175,8 +153,8 @@ def mse_drift_tradeoff(gamma: float, u: float, info: float) -> float:
 
 
 def ode_mean_trajectory(model: NoiseModel, design: QuantizerDesign,
-                        spec: QuantizerSpec, x0_hat: float, x: float,
-                        horizon: int, max_dt: float = 0.1) -> np.ndarray:
+                        x0_hat: float, x: float, horizon: int,
+                        max_dt: float = 0.1) -> np.ndarray:
     """Mean estimator trajectory from the deterministic mean-field ODE.
 
     Integrates d(err)/dt = gamma * mean_field(err) with gamma = 1/info by
@@ -187,7 +165,7 @@ def ode_mean_trajectory(model: NoiseModel, design: QuantizerDesign,
     gamma = 1.0 / design.info
 
     def rhs(err):
-        return gamma * mean_field(model, design, spec, err)
+        return gamma * mean_field(model, design, err)
 
     err = x0_hat - x
     out = np.empty(horizon)
@@ -213,8 +191,7 @@ class StabilityReport:
     violations: list = field(default_factory=list)  # (eps, h, lyapunov derivative)
 
 
-def check_stability(model: NoiseModel, design: QuantizerDesign,
-                    spec: QuantizerSpec, eps_grid=None,
+def check_stability(model: NoiseModel, design: QuantizerDesign, eps_grid=None,
                     zero_tol: float = 1e-12) -> StabilityReport:
     """Verify the mean field vanishes at zero error and opposes the error.
 
@@ -224,12 +201,12 @@ def check_stability(model: NoiseModel, design: QuantizerDesign,
     """
     if eps_grid is None:
         eps_grid = np.linspace(-10.0 * model.delta, 10.0 * model.delta, 201)
-    h0 = mean_field(model, design, spec, 0.0)
+    h0 = mean_field(model, design, 0.0)
     violations = []
     for eps in np.asarray(eps_grid, dtype=float):
         if eps == 0.0:
             continue
-        h = mean_field(model, design, spec, float(eps))
+        h = mean_field(model, design, float(eps))
         lyap = 2.0 * eps * h
         if lyap >= 0.0:
             violations.append((float(eps), h, lyap))

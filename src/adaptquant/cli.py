@@ -215,14 +215,13 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.config).stem
     if mode == "continuous":
-        result = run_continuous_reference(config, threads=args.threads)
+        result = run_continuous_reference(config)
     else:
-        result = run_experiment(config, threads=args.threads)
+        result = run_experiment(config)
     write_result_csv(result, out_dir / f"{name}.csv")
     write_summary(result, out_dir / f"{name}.summary")
     manifest = dict(result.metadata)
-    manifest.update({"subcommand": "simulate", "config": str(args.config),
-                     "threads": args.threads})
+    manifest.update({"subcommand": "simulate", "config": str(args.config)})
     _write_manifest(out_dir, name, manifest)
     print(f"{name}: simulated_loss = {result.simulated_loss_db:.4f} dB, "
           f"theory = {result.theory_loss_db:.4f} dB, "
@@ -261,7 +260,7 @@ def cmd_figures(args) -> int:
 
     def run(cfg):
         if cfg not in results:
-            results[cfg] = run_experiment(cfg, threads=args.threads)
+            results[cfg] = run_experiment(cfg)
         return results[cfg]
 
     # constant-case convergence curves
@@ -331,7 +330,7 @@ def cmd_figures(args) -> int:
 
     _write_manifest(out_dir, "figures", {
         "subcommand": "figures", "replications": reps, "horizon": args.horizon,
-        "seed": args.seed, "threads": args.threads,
+        "seed": args.seed,
     })
     print(f"figure CSVs written to {out_dir}")
     return 0
@@ -381,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run an experiment from a config file")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="accepted and ignored: the engine runs on one thread")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
 
@@ -390,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=2000)
     p.add_argument("--horizon", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=_positive_int, default=1)
     p.set_defaults(func=cmd_figures)
 
     return parser

@@ -81,13 +81,10 @@ class NoiseModel:
         array): one special-function call."""
         b = self.beta
         if self.family is Family.GG:
-            if isinstance(az, float):
-                try:
-                    arg = math.inf if az > 1e150 else az**b
-                except OverflowError:  # az**b beyond the float range
-                    arg = math.inf
-            else:
-                arg = np.where(az > 1e150, np.inf, az**b)
+            try:
+                arg = az**b  # an array overflows to inf under sf's errstate
+            except OverflowError:  # a float az**b beyond the float range
+                arg = math.inf
             return regularized_gamma_q(1.0 / b, arg)
         return incomplete_beta_regularized(b / (az * az + b), b / 2.0, 0.5)
 

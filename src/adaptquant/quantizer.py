@@ -199,8 +199,7 @@ def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID
 # ---- mean-field quantities ------------------------------------------
 
 
-def mean_field(model: NoiseModel, design: QuantizerDesign, spec: QuantizerSpec,
-               eps: float) -> float:
+def mean_field(model: NoiseModel, design: QuantizerDesign, eps: float) -> float:
     """Expected update direction as a function of the estimation error.
 
     Zero at eps = 0; negative for eps > 0 and positive for eps < 0 for any
@@ -208,7 +207,7 @@ def mean_field(model: NoiseModel, design: QuantizerDesign, spec: QuantizerSpec,
 
     The cell masses come from ``sf`` at eps and at eps +- each finite edge
     of ``design.thresholds``, one call per point; sf is 0 at the edge +inf
-    and 1 at -inf.  ``spec`` is not read: the design holds the edges.
+    and 1 at -inf.
     """
     edges = design.thresholds.tolist()
     centre = model.sf(eps)

@@ -1,16 +1,15 @@
 """Monte Carlo engine: replicated estimator runs, MSE curves, simulated losses.
 
-Replications are vectorized in fixed-size chunks; each replication owns an
-RNG stream derived from (seed, replication index), so results are
-bit-identical for a given seed regardless of chunking or thread count.
-Aggregation sums chunk results in chunk order.
+Replications are vectorized in fixed-size chunks, run one after another;
+each replication owns an RNG stream derived from (seed, replication index),
+and the chunk sums are added in chunk order, so results are bit-identical
+for a given seed.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +19,8 @@ from .estimator import GainSchedule, SignalKind, advance, direction
 from .noise import NoiseModel
 from .quantizer import QuantizerDesign, QuantizerSpec, build_design
 
-#: replications per vectorized chunk; fixed so chunking never depends on
-#: the thread count (determinism of the aggregate)
+#: replications per vectorized chunk; fixed, because the floating-point sum
+#: of the chunk results depends on where the chunks split
 CHUNK_SIZE = 512
 
 #: a replication whose estimate exceeds this many noise scales is aborted
@@ -158,21 +157,13 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     return sumsq, int(n_rep - dead.sum()), diverged
 
 
-def _aggregate(config: ExperimentConfig, design, threads: int):
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    chunks = [(lo, min(lo + CHUNK_SIZE, config.replications))
-              for lo in range(0, config.replications, CHUNK_SIZE)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda c: _chunk_errors(config, design, *c), chunks))
-    else:
-        results = [_chunk_errors(config, design, *c) for c in chunks]
+def _aggregate(config: ExperimentConfig, design):
     total = np.zeros(config.horizon)
     alive = 0
     diverged = []
-    for sumsq, n_alive, div in results:
+    for lo in range(0, config.replications, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, config.replications)
+        sumsq, n_alive, div = _chunk_errors(config, design, lo, hi)
         total += sumsq
         alive += n_alive
         diverged.extend(div)
@@ -245,7 +236,7 @@ def _finalize(config: ExperimentConfig, info: float, mse, diverged,
     )
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1,
+def run_experiment(config: ExperimentConfig, *,
                    design: QuantizerDesign | None = None) -> ExperimentResult:
     """Run the quantized-observation experiment described by ``config``.
 
@@ -261,7 +252,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1,
         design = build_design(config.noise, config.quantizer)
     else:
         _check_geometry(design, config)
-    mse, diverged = _aggregate(config, design, threads)
+    mse, diverged = _aggregate(config, design)
     return _finalize(config, design.info, mse, diverged, True, t0)
 
 
@@ -279,14 +270,13 @@ def _check_geometry(design: QuantizerDesign, config: ExperimentConfig) -> None:
                          f"the config's tau * step {(spec.finite_tau * step).tolist()}")
 
 
-def run_continuous_reference(config: ExperimentConfig,
-                             threads: int = 1) -> ExperimentResult:
+def run_continuous_reference(config: ExperimentConfig) -> ExperimentResult:
     """Run the continuous-measurement reference algorithm."""
     t0 = time.perf_counter()
     info = config.noise.fisher_continuous()
     if config.noise.family.value == "gg" and config.noise.beta <= 1.0:
         raise ValueError("continuous reference requires a differentiable density")
-    mse, diverged = _aggregate(config, None, threads)
+    mse, diverged = _aggregate(config, None)
     return _finalize(config, info, mse, diverged, False, t0)
 
 

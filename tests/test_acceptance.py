@@ -39,8 +39,6 @@ from adaptquant.simulator import (
     write_result_csv,
 )
 
-THREADS = 4
-
 
 def report(num: int, ok: bool, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
@@ -180,15 +178,14 @@ def test_criterion_06_constant_monte_carlo():
         spec, design = design_uniform(m, 2 ** nbits)
         cfg = ExperimentConfig(sig, m, spec, replications=10_000,
                                horizon=2000, seed=20240801)
-        res = run_experiment(cfg, threads=THREADS, design=design)
+        res = run_experiment(cfg, design=design)
         normalized = res.mse_curve[-1] * 2000 * design.info
         ok &= abs(normalized - 1.0) <= 0.10
         # decreasing loss curve from a displaced start
         off = ExperimentConfig(sig, m, spec, replications=10_000,
                                horizon=2000, seed=20240801,
                                initial_offset=10.0)
-        curve = run_experiment(off, threads=THREADS,
-                               design=design).loss_curve_db()
+        curve = run_experiment(off, design=design).loss_curve_db()
         l_theory = res.theory_loss_db
         decreasing = (curve[-1] < curve[len(curve) // 2]
                       and abs(curve[-1] - l_theory)
@@ -209,7 +206,7 @@ def test_criterion_07_wiener_monte_carlo():
             cfg = ExperimentConfig(sig, m, spec, replications=2000,
                                    horizon=20_000, burn_in=1000,
                                    seed=20240802)
-            res = run_experiment(cfg, threads=THREADS, design=design)
+            res = run_experiment(cfg, design=design)
             predicted = sigma_w / math.sqrt(design.info)
             rel = res.asymptotic_mse / predicted - 1.0
             gap = res.simulated_loss_db - res.theory_loss_db
@@ -228,7 +225,7 @@ def test_criterion_08_dithering_at_large_sigma_w():
         sig = SignalModel(SignalKind.WIENER, sigma_w=sigma_w)
         cfg = ExperimentConfig(sig, m, spec, replications=2000,
                                horizon=5000, burn_in=1000, seed=20240803)
-        res = run_experiment(cfg, threads=THREADS, design=design)
+        res = run_experiment(cfg, design=design)
         sims.append(res.simulated_loss_db)
         theories.append(res.theory_loss_db)
     below = all(s < t for s, t in zip(sims, theories))
@@ -249,7 +246,7 @@ def test_criterion_09_drift_monte_carlo():
                                    horizon=20_000, burn_in=1000,
                                    seed=20240804, drift_gain=1e-5,
                                    drift_initial=None)  # start at true drift
-            res = run_experiment(cfg, threads=THREADS, design=design)
+            res = run_experiment(cfg, design=design)
             predicted = 3.0 * (u / (4.0 * design.info)) ** (2.0 / 3.0)
             rel = res.asymptotic_mse / predicted - 1.0
             offset = res.simulated_loss_db - res.theory_loss_db
@@ -278,11 +275,11 @@ def test_criterion_11_stability_and_ode_convergence():
     for family, beta in STANDARD_SHAPES:
         m = NoiseModel(family, beta)
         for nbits in range(1, 6):
-            spec, design = design_uniform(m, 2 ** nbits)
-            stable &= check_stability(m, design, spec).passed
+            _, design = design_uniform(m, 2 ** nbits)
+            stable &= check_stability(m, design).passed
     m = gg(2.0)
-    spec, design = design_uniform(m, 8)
-    traj = ode_mean_trajectory(m, design, spec, x0_hat=5.0 * m.delta,
+    _, design = design_uniform(m, 8)
+    traj = ode_mean_trajectory(m, design, x0_hat=5.0 * m.delta,
                                x=0.0, horizon=10_000)
     final = abs(traj[-1])
     ok = stable and final < 1e-3 * m.delta
@@ -297,10 +294,10 @@ def test_criterion_12_deterministic_csv(tmp_path):
     cfg = ExperimentConfig(sig, m, spec, replications=1500, horizon=400,
                            burn_in=100, seed=20240805)
     blobs = []
-    for tag, threads in [("a1", 1), ("b1", 1), ("a4", 4), ("a8", 8)]:
-        res = run_experiment(cfg, threads=threads, design=design)
+    for tag in ("a", "b"):
+        res = run_experiment(cfg, design=design)
         path = tmp_path / f"{tag}.csv"
         write_result_csv(res, path)
         blobs.append(path.read_bytes())
     ok = all(b == blobs[0] for b in blobs[1:])
-    report(12, ok, "byte-identical across repeats and 1/4/8 threads")
+    report(12, ok, "byte-identical across repeats")

@@ -7,7 +7,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from adaptquant.analysis import (
-    BoundSet,
     PerformancePrediction,
     bcrb_asymptotic,
     bcrb_asymptotic_approx,
@@ -88,15 +87,6 @@ def test_bcrb_approx_close_for_slow_parameter():
         assert exact == pytest.approx(approx, rel=5.0 * sw)
 
 
-def test_bound_set_wraps_scalars():
-    bs = BoundSet(ic=2.0, sigma_w=0.1)
-    assert bs.crb(10) == crb_continuous(2.0, 10)
-    np.testing.assert_array_equal(bs.bcrb_seq(20),
-                                  1.0 / bcrb_recursion(2.0, 0.1, 20))
-    assert bs.bcrb_inf == bcrb_asymptotic(2.0, 0.1)
-    assert bs.bcrb_inf_approx == bcrb_asymptotic_approx(2.0, 0.1)
-
-
 def test_performance_prediction():
     p = PerformancePrediction(info=4.0 / math.pi)
     assert p.sigma_inf_sq == pytest.approx(math.pi / 4.0, rel=1e-14)
@@ -155,13 +145,13 @@ def test_mse_drift_tradeoff_minimized_by_drift_gain():
 def test_ode_trajectory_against_reference_integrator():
     """RK4 on the harmonic grid agrees with a high-accuracy ODE solver."""
     m = gg(2.0)
-    spec, design = design_uniform(m, 2)
+    _, design = design_uniform(m, 2)
     horizon = 200
-    traj = ode_mean_trajectory(m, design, spec, x0_hat=5.0, x=0.0,
+    traj = ode_mean_trajectory(m, design, x0_hat=5.0, x=0.0,
                                horizon=horizon)
     t_grid = np.cumsum(1.0 / np.arange(1, horizon + 1))
     gamma = 1.0 / design.info
-    sol = solve_ivp(lambda t, e: gamma * mean_field(m, design, spec, e[0]),
+    sol = solve_ivp(lambda t, e: gamma * mean_field(m, design, e[0]),
                     (0.0, t_grid[-1]), [5.0], t_eval=t_grid,
                     rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(traj, sol.y[0], rtol=1e-6, atol=1e-9)
@@ -169,8 +159,8 @@ def test_ode_trajectory_against_reference_integrator():
 
 def test_ode_trajectory_decreases_monotonically():
     m = gg(2.0)
-    spec, design = design_uniform(m, 8)
-    traj = ode_mean_trajectory(m, design, spec, x0_hat=5.0, x=0.0, horizon=500)
+    _, design = design_uniform(m, 8)
+    traj = ode_mean_trajectory(m, design, x0_hat=5.0, x=0.0, horizon=500)
     assert np.all(np.diff(traj) < 0.0)
     assert traj[-1] > 0.0
     assert traj[-1] < 0.05
@@ -181,8 +171,8 @@ def test_ode_trajectory_decreases_monotonically():
 @pytest.mark.parametrize("nbits", [1, 2, 3])
 def test_stability_holds_for_standard_designs(family, beta, nbits):
     m = gg(beta) if family == "gg" else st(beta)
-    spec, design = design_uniform(m, 2 ** nbits)
-    report = check_stability(m, design, spec)
+    _, design = design_uniform(m, 2 ** nbits)
+    report = check_stability(m, design)
     assert report.passed
     assert abs(report.h_at_zero) <= 1e-12
     assert report.violations == []
@@ -193,9 +183,9 @@ def test_stability_detects_sign_flip():
     from adaptquant.quantizer import QuantizerDesign
 
     m = gg(2.0)
-    spec, design = design_uniform(m, 4)
+    _, design = design_uniform(m, 4)
     broken = QuantizerDesign(design.probs, design.drops, -design.levels,
                              design.info, design.step, design.thresholds)
-    report = check_stability(m, broken, spec)
+    report = check_stability(m, broken)
     assert not report.passed
     assert len(report.violations) > 0

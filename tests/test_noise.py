@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc
 from scipy.stats import kstest
 
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
@@ -107,12 +108,24 @@ def test_cdf_lower_tail_matches_closed_forms():
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_gg_tail_for_small_beta_beyond_1e150():
+    # |x|**0.01 is about 30 at 1e150, so the tail is still 0.5 there; only
+    # far out does it fall, to 3.0e-294 at 1e300
+    m = gg(0.01)
+    for x in [1e149, 1e151, 1e300]:
+        want = 0.5 * gammaincc(100.0, x**0.01)
+        assert m.sf(x) == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert m.sf(np.array([x]))[0] == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert m.cdf(-x) == m.sf(x)
+    assert m.sf(math.inf) == 0.0
+
+
 @pytest.mark.parametrize("family,beta",
                          ALL_SHAPES + [(Family.GG, 0.7), (Family.GG, 10.0)])
 def test_cdf_sf_arrays_match_scalar_calls(family, beta):
     m = NoiseModel(family, beta, 1.3)
-    # |x / delta|**beta overflows below the 1e150 cut-off of the tail
-    # argument: at 1e140 for GG beta = 2.5, from 1e110 on for beta >= 3
+    # |x / delta|**beta overflows at 1e140 for GG beta = 2.5 and from
+    # 1e110 on for beta >= 3
     x = np.concatenate([[-math.inf, -1e200, -1e140, -1e110, 0.0, -0.0,
                          1e110, 1e140, 1e200, math.inf],
                         np.geomspace(1e-8, 1e3, 60), -np.geomspace(1e-8, 1e3, 60)])

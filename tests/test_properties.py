@@ -27,6 +27,26 @@ def test_cdf_and_sf_sum_to_one(model, x):
     assert abs(model.cdf(x) + model.sf(x) - 1.0) <= 2.3e-16
 
 
+#: GG down to beta = 0.01, whose tail argument |x/delta|**beta stays small
+#: far beyond the range of the other shapes
+wide_models = hs.one_of(
+    hs.builds(NoiseModel, hs.just(Family.GG), hs.floats(0.01, 10.0),
+              hs.floats(0.1, 10.0)),
+    hs.builds(NoiseModel, hs.just(Family.ST), hs.floats(0.5, 10.0),
+              hs.floats(0.1, 10.0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_models, reals, reals)
+def test_sf_is_non_increasing(model, x, y):
+    lo, hi = min(x, y), max(x, y)
+    # the kernels round to a few ulps, so adjacent points may invert by that
+    slack = 1.0 - 8 * np.finfo(float).eps
+    assert model.sf(lo) >= model.sf(hi) * slack
+    at_lo, at_hi = model.sf(np.array([lo, hi]))
+    assert at_lo >= at_hi * slack
+
+
 @hs.composite
 def model_and_points(draw):
     """A model and points whose tail exponent is at most 100.
@@ -60,10 +80,10 @@ def test_cdf_and_sf_float_equals_array(case):
 @given(models, hs.integers(1, 5), hs.floats(-50.0, 50.0),
        hs.floats(math.log(1e-3), math.log(50.0)), signs)
 def test_mean_field_is_odd_and_restoring(cached_design, model, nbits, r, log_r, sign):
-    _, spec, design = cached_design(model.family, model.beta, nbits, model.delta)
+    _, _, design = cached_design(model.family, model.beta, nbits, model.delta)
     eps = r * model.delta
     # the mean field is in units of 1/delta: compare it at delta = 1
-    odd_gap = mean_field(model, design, spec, eps) + mean_field(model, design, spec, -eps)
+    odd_gap = mean_field(model, design, eps) + mean_field(model, design, -eps)
     assert abs(odd_gap) * model.delta <= 1e-14
     eps = sign * math.exp(log_r) * model.delta
-    assert eps * mean_field(model, design, spec, eps) < 0.0
+    assert eps * mean_field(model, design, eps) < 0.0

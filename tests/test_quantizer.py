@@ -282,14 +282,14 @@ def test_mean_field_properties():
     m = gg(2.0)
     spec, design = design_uniform(m, 4)
     # equilibrium at zero error, restoring force elsewhere
-    assert mean_field(m, design, spec, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert mean_field(m, design, 0.0) == pytest.approx(0.0, abs=1e-14)
     for eps in [0.3, 1.0, 4.0]:
-        assert mean_field(m, design, spec, eps) < 0.0
-        assert mean_field(m, design, spec, -eps) > 0.0
+        assert mean_field(m, design, eps) < 0.0
+        assert mean_field(m, design, -eps) > 0.0
     # slope at the origin from a symmetric difference
     h = 1e-6
-    slope_fd = (mean_field(m, design, spec, h)
-                - mean_field(m, design, spec, -h)) / (2.0 * h)
+    slope_fd = (mean_field(m, design, h)
+                - mean_field(m, design, -h)) / (2.0 * h)
     assert mean_field_slope(m, design, spec) == pytest.approx(slope_fd, rel=1e-4)
 
 
@@ -314,13 +314,13 @@ def test_mean_field_matches_cdf_pairs(nbits, cached_design):
     for family, beta in STANDARD_SHAPES:
         model, spec, design = cached_design(family, beta, nbits)
         for eps in np.linspace(-10.0, 10.0, 21).tolist() + [1e-3, -1e-3]:
-            assert mean_field(model, design, spec, eps) == pytest.approx(
+            assert mean_field(model, design, eps) == pytest.approx(
                 mean_field_by_cdf_pairs(model, design, spec, eps), rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
 def test_mean_field_evaluates_each_edge_once(nbits, cached_design, monkeypatch):
-    model, spec, design = cached_design(Family.ST, 2.0, nbits)
+    model, _, design = cached_design(Family.ST, 2.0, nbits)
     points = []
     sf = NoiseModel.sf
 
@@ -331,7 +331,7 @@ def test_mean_field_evaluates_each_edge_once(nbits, cached_design, monkeypatch):
     monkeypatch.setattr(NoiseModel, "sf", counting_sf)
     for eps in [0.37, -1.2, 0.0]:
         points.clear()
-        mean_field(model, design, spec, eps)
+        mean_field(model, design, eps)
         # sf at eps and at eps +- each finite edge, every point once
         assert len(points) == 2 * (2**nbits // 2) - 1
         assert len(set(points)) == len(points)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dataclasses import replace
 
@@ -13,7 +15,7 @@ from adaptquant.estimator import (
     step_continuous,
     step_quantized,
 )
-from adaptquant.noise import gg, st
+from adaptquant.noise import Family, NoiseModel, gg, st
 from adaptquant.quantizer import QuantizerSpec, build_design, design_uniform
 from adaptquant.simulator import (
     DivergenceError,
@@ -83,11 +85,9 @@ def test_config_validation():
 
 def test_determinism_same_seed_and_threads():
     cfg = make_config(replications=700)  # spans two chunks
-    a = run_experiment(cfg, threads=1)
-    b = run_experiment(cfg, threads=1)
-    c = run_experiment(cfg, threads=3)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     np.testing.assert_array_equal(a.mse_curve, b.mse_curve)
-    np.testing.assert_array_equal(a.mse_curve, c.mse_curve)
 
 
 def test_different_seed_changes_result():
@@ -101,7 +101,7 @@ def test_constant_signal_matches_theory():
     spec, design = design_uniform(m, 4)
     cfg = make_config(noise=m, quantizer=spec, replications=3000,
                       horizon=800, initial_offset=0.0, seed=7)
-    res = run_experiment(cfg, threads=2, design=design)
+    res = run_experiment(cfg, design=design)
     k = np.arange(1, cfg.horizon + 1)
     np.testing.assert_allclose(res.theory_mse_curve, 1.0 / (k * design.info),
                                rtol=1e-12)
@@ -117,7 +117,7 @@ def test_wiener_signal_matches_theory():
     sig = SignalModel(SignalKind.WIENER, sigma_w=0.01)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=400,
                       horizon=4000, burn_in=1000, initial_offset=0.0, seed=11)
-    res = run_experiment(cfg, threads=2, design=design)
+    res = run_experiment(cfg, design=design)
     predicted = 0.01 / math.sqrt(design.info)
     np.testing.assert_allclose(res.theory_mse_curve, predicted)
     assert res.asymptotic_mse == pytest.approx(predicted, rel=0.05)
@@ -131,7 +131,7 @@ def test_drift_signal_matches_theory():
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=300,
                       horizon=4000, burn_in=1000, initial_offset=0.0,
                       seed=13, drift_initial=None)  # oracle warm start
-    res = run_experiment(cfg, threads=2, design=design)
+    res = run_experiment(cfg, design=design)
     predicted = 3.0 * (u / (4.0 * design.info)) ** (2.0 / 3.0)
     assert res.asymptotic_mse == pytest.approx(predicted, rel=0.2)
 
@@ -140,7 +140,7 @@ def test_continuous_reference_constant():
     m = st(1.0)  # heavy-tailed noise, information 1/2
     cfg = make_config(noise=m, quantizer=None, replications=2000,
                       horizon=2500, initial_offset=0.0, seed=17)
-    res = run_continuous_reference(cfg, threads=2)
+    res = run_continuous_reference(cfg)
     k = np.arange(1, cfg.horizon + 1)
     np.testing.assert_allclose(res.theory_mse_curve, 1.0 / (k * 0.5),
                                rtol=1e-12)
@@ -154,7 +154,7 @@ def test_quantized_never_beats_continuous_loss():
     spec, design = design_uniform(m, 2)
     cfg = make_config(noise=m, quantizer=spec, replications=2000,
                       horizon=600, initial_offset=0.0, seed=19)
-    res = run_experiment(cfg, threads=2, design=design)
+    res = run_experiment(cfg, design=design)
     # theory loss for 1-bit Gaussian-type noise is the classic 1.96 dB
     assert res.theory_loss_db == pytest.approx(1.9612, abs=5e-5)
     assert res.simulated_loss_db == pytest.approx(res.theory_loss_db, abs=0.35)
@@ -166,7 +166,7 @@ def test_loss_curve_db_shape_and_tail():
     # an initial offset gives an elevated loss curve that decays back
     cfg = make_config(noise=m, quantizer=spec, replications=400,
                       horizon=600, initial_offset=3.0, seed=23)
-    res = run_experiment(cfg, threads=2, design=design)
+    res = run_experiment(cfg, design=design)
     curve = res.loss_curve_db()
     assert curve.shape == res.mse_curve.shape
     assert curve[0] > res.theory_loss_db + 3.0
@@ -174,7 +174,7 @@ def test_loss_curve_db_shape_and_tail():
     # starting at the true value the tail sits near the theoretical loss
     cfg0 = make_config(noise=m, quantizer=spec, replications=1500,
                        horizon=600, initial_offset=0.0, seed=23)
-    res0 = run_experiment(cfg0, threads=2, design=design)
+    res0 = run_experiment(cfg0, design=design)
     curve0 = res0.loss_curve_db()
     assert abs(curve0[-50:].mean() - res0.theory_loss_db) < 0.5
 
@@ -210,16 +210,6 @@ def test_csv_roundtrip(tmp_path):
     sample = body[1].split(",")[1]
     mantissa = sample.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa.split("e")[0]) <= 12
-
-
-def test_csv_identical_across_thread_counts(tmp_path):
-    cfg = make_config(replications=600, horizon=60)
-    res1 = run_experiment(cfg, threads=1)
-    res4 = run_experiment(cfg, threads=4)
-    p1, p4 = tmp_path / "t1.csv", tmp_path / "t4.csv"
-    write_result_csv(res1, p1)
-    write_result_csv(res4, p4)
-    assert p1.read_bytes() == p4.read_bytes()
 
 
 def test_write_summary_mentions_wall_time(tmp_path):
@@ -278,13 +268,8 @@ def test_design_must_match_config_geometry():
         with pytest.raises(ValueError, match=what):
             run_experiment(cfg, design=design)
     assert run_experiment(cfg, design=design2).metadata["nbits"] == 2
-
-
-def test_threads_below_one_rejected():
-    with pytest.raises(ValueError):
-        run_experiment(make_config(), threads=0)
-    with pytest.raises(ValueError):
-        run_continuous_reference(make_config(quantizer=None), threads=-3)
+    with pytest.raises(TypeError):  # design is keyword-only
+        run_experiment(cfg, design2)
 
 
 PARITY_SIGNALS = [
@@ -317,19 +302,31 @@ def _scalar_errors(cfg, info, step):
     return err2
 
 
-@pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
-@pytest.mark.parametrize("drift_initial", [0.0, None])
-def test_scalar_api_matches_engine_quantized(signal, drift_initial):
-    m = gg(2.0)
-    spec, design = design_uniform(m, 8)
-    cfg = make_config(signal=signal, noise=m, quantizer=spec, replications=1,
-                      horizon=400, drift_initial=drift_initial,
+def _assert_quantized_parity(noise, nbits, signal, drift_initial, horizon, seed):
+    spec, design = design_uniform(noise, 2**nbits)
+    cfg = make_config(signal=signal, noise=noise, quantizer=spec, replications=1,
+                      horizon=horizon, seed=seed, drift_initial=drift_initial,
                       initial_offset=1.5)
     res = run_experiment(cfg, design=design)
     err2 = _scalar_errors(
         cfg, design.info,
         lambda state, y, schedule: step_quantized(state, y, design, spec, schedule))
     assert np.array_equal(err2, res.mse_curve)
+
+
+@pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
+@pytest.mark.parametrize("drift_initial", [0.0, None])
+def test_scalar_api_matches_engine_quantized(signal, drift_initial):
+    _assert_quantized_parity(gg(2.0), 3, signal, drift_initial, horizon=400, seed=123)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.builds(NoiseModel, hs.sampled_from(Family), hs.floats(0.5, 10.0)),
+       hs.integers(1, 5), hs.sampled_from(PARITY_SIGNALS),
+       hs.sampled_from([0.0, None]), hs.integers(0, 2**32 - 1))
+def test_scalar_api_matches_engine_quantized_property(noise, nbits, signal,
+                                                      drift_initial, seed):
+    _assert_quantized_parity(noise, nbits, signal, drift_initial, horizon=60, seed=seed)
 
 
 @pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
