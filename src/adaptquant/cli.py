@@ -117,16 +117,15 @@ def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
 
 def cmd_loss_table(args) -> int:
     noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
-    nbits_list = [int(b) for b in args.nbits.split(",")]
     grid = _grid_from_args(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "loss_table.csv"
     lines = (["# adaptquant loss table", f"# grid = {grid}"]
-             + _loss_rows(noises, nbits_list, grid, args.delta))
+             + _loss_rows(noises, args.nbits, grid, args.delta))
     path.write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, "loss_table", {
-        "subcommand": "loss-table", "noises": noises, "nbits": nbits_list,
+        "subcommand": "loss-table", "noises": noises, "nbits": args.nbits,
         "grid": grid, "delta": args.delta,
     })
     print(f"loss table written to {path}")
@@ -178,6 +177,8 @@ def load_experiment_config(path, seed_override=None) -> tuple[ExperimentConfig, 
     spec = None
     if mode == "quantized":
         nbits = int(qua.get("nbits", "2"))
+        if nbits < 1:
+            raise ValueError(f"{path}: [quantizer] nbits must be >= 1, got {nbits}")
         cdelta_raw = qua.get("cdelta", "auto")
         if cdelta_raw == "auto":
             grid = (float(qua.get("grid_min", DEFAULT_CDELTA_GRID[0])),
@@ -346,6 +347,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_ints(text: str) -> list[int]:
+    """A comma list of positive ints, e.g. ``1,2,3``."""
+    return [_positive_int(item) for item in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptquant",
@@ -362,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=["gg", "st"], required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--delta", type=float, default=1.0)
-    p.add_argument("--nbits", type=int, required=True)
+    p.add_argument("--nbits", type=_positive_int, required=True)
     add_grid(p)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_design)
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noises", default=None,
                    help="comma list of family:beta, e.g. gg:2,st:1 "
                         "(default: the seven standard shapes)")
-    p.add_argument("--nbits", default="1,2,3,4,5")
+    p.add_argument("--nbits", type=_positive_ints, default="1,2,3,4,5")
     p.add_argument("--delta", type=float, default=1.0)
     add_grid(p)
     p.add_argument("--out", default="out")

@@ -52,8 +52,9 @@ class GainSchedule:
         object.__setattr__(self, "kind", SignalKind(self.kind))
         if not (self.info > 0.0 and math.isfinite(self.info)):
             raise ValueError(f"info must be positive and finite, got {self.info}")
-        if self.sigma_w < 0.0:
-            raise ValueError(f"sigma_w must be nonnegative, got {self.sigma_w}")
+        if not 0.0 <= self.sigma_w < math.inf:
+            raise ValueError(
+                f"sigma_w must be nonnegative and finite, got {self.sigma_w}")
         if self.kind is SignalKind.WIENER and self.sigma_w == 0.0:
             raise ValueError("wiener schedule requires sigma_w > 0")
         if not 0.0 < self.u_floor < math.inf:
@@ -103,6 +104,8 @@ class EstimatorState:
     def __post_init__(self):
         if not math.isfinite(self.x_hat):
             raise ValueError(f"x_hat must be finite, got {self.x_hat}")
+        if not math.isfinite(self.u_hat):
+            raise ValueError(f"u_hat must be finite, got {self.u_hat}")
         if self.k < 0:
             raise ValueError(f"step counter must be >= 0, got {self.k}")
 

@@ -103,40 +103,36 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     return mag if y >= offset else -mag
 
 
-def interval_stats(model: NoiseModel, spec: QuantizerSpec, c_delta=None):
-    """Interval probabilities and density drops for offset at the parameter.
+def interval_stats(model: NoiseModel, thresholds):
+    """Cell masses and density drops for offset at the parameter.
 
-    Returns (probs, drops) over the positive half-line:
-    probs[i] = F(tau_{i+1} step) - F(tau_i step) and
-    drops[i] = f(tau_i step) - f(tau_{i+1} step), with f(inf) = 0.
-
-    Given an array ``c_delta``, the thresholds of ``spec`` are taken at each
-    of those step constants in place of ``spec.c_delta``: the result has one
-    row per step constant, from one ``sf`` and one ``pdf`` call on the
-    (steps x edges) matrix, and degenerate rows are left to the caller.
+    ``thresholds`` holds absolute finite positive cell edges t_1 < ... along
+    the last axis: shape (N/2 - 1,) for one design or (rows, N/2 - 1) for
+    many.  Returns (probs, drops) over the positive half-line, of the same
+    leading shape, with t_0 = 0 and t_{N/2} = +inf:
+    probs[..., i] = F(t_{i+1}) - F(t_i) and
+    drops[..., i] = f(t_i) - f(t_{i+1}), with f(inf) = 0.
+    One ``sf`` and one ``pdf`` call cover every row; degenerate rows are
+    returned, not rejected.
     """
-    c = spec.c_delta if c_delta is None else np.asarray(c_delta, dtype=float)
-    steps = np.reshape(c * model.delta, (-1, 1))
-    edges = np.concatenate(([0.0], spec.finite_tau)) * steps
-    beyond = np.zeros((len(steps), 1))  # sf and pdf at the infinite edge
-    probs = -np.diff(np.hstack((model.sf(edges), beyond)), axis=1)
-    drops = -np.diff(np.hstack((model.pdf(edges), beyond)), axis=1)
-    if c_delta is not None:
-        return probs, drops
-    probs, drops = probs[0], drops[0]
-    if np.any(probs < MIN_INTERVAL_MASS):
-        raise DesignError(
-            f"degenerate quantization interval for c_delta={spec.c_delta}: "
-            f"interval probabilities {probs}"
-        )
+    thresholds = np.asarray(thresholds, dtype=float)
+    column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0; sf, pdf at inf
+    edges = np.concatenate((column, thresholds), axis=-1)
+    probs = -np.diff(np.concatenate((model.sf(edges), column), axis=-1), axis=-1)
+    drops = -np.diff(np.concatenate((model.pdf(edges), column), axis=-1), axis=-1)
     return probs, drops
+
+
+def _degenerate(probs):
+    """Per design row: does any cell hold less than ``MIN_INTERVAL_MASS``?"""
+    return np.any(probs < MIN_INTERVAL_MASS, axis=-1)
 
 
 def optimal_levels(probs: np.ndarray, drops: np.ndarray) -> np.ndarray:
     """Variance-minimizing output levels: drop/probability per interval."""
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < MIN_INTERVAL_MASS):
-        raise DesignError("interval with vanishing probability mass")
+    if np.any(_degenerate(probs)):
+        raise DesignError(f"interval with vanishing probability mass: {probs}")
     return np.asarray(drops, dtype=float) / probs
 
 
@@ -146,28 +142,29 @@ def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
     A float for one design; an array with one value per row for 2-D input.
     """
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < MIN_INTERVAL_MASS):
-        raise DesignError("interval with vanishing probability mass")
+    if np.any(_degenerate(probs)):
+        raise DesignError(f"interval with vanishing probability mass: {probs}")
     info = 2.0 * np.sum(np.asarray(drops, dtype=float) ** 2 / probs, axis=-1)
     return float(info) if info.ndim == 0 else info
 
 
 def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
-    probs, drops = interval_stats(model, spec)
+    step = spec.c_delta * model.delta
+    thresholds = spec.finite_tau * step
+    probs, drops = interval_stats(model, thresholds)
     levels = optimal_levels(probs, drops)
     info = fisher_quantized(probs, drops)
-    step = spec.c_delta * model.delta
-    return QuantizerDesign(probs, drops, levels, info, step, spec.finite_tau * step)
+    return QuantizerDesign(probs, drops, levels, info, step, thresholds)
 
 
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
     """Grid-search the step constant maximizing the quantized information.
 
     Uses unit-spaced normalized thresholds.  The whole grid is evaluated in
-    one ``interval_stats`` call.  Ties (including flat profiles, e.g.
-    Laplace noise where the information is threshold-independent) resolve
-    to the smallest grid point.  Grid points whose design is degenerate are
-    skipped.
+    one ``interval_stats`` call, one row of edges per grid point.  Ties
+    (including flat profiles, e.g. Laplace noise where the information is
+    threshold-independent) resolve to the smallest grid point.  Grid points
+    whose design is degenerate are skipped.
     """
     lo, hi, step = grid
     if not (lo > 0 and hi >= lo and step > 0):
@@ -175,9 +172,9 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
-    probs, drops = interval_stats(model, QuantizerSpec.uniform(n_intervals, lo),
-                                  c_delta=values)
-    valid = ~np.any(probs < MIN_INTERVAL_MASS, axis=1)
+    tau = QuantizerSpec.uniform(n_intervals, lo).finite_tau
+    probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
+    valid = ~_degenerate(probs)
     if not valid.any():
         raise DesignError(f"no valid design on c_delta grid {grid}")
     info = fisher_quantized(probs[valid], drops[valid])
@@ -221,15 +218,13 @@ def mean_field(model: NoiseModel, design: QuantizerDesign, eps: float) -> float:
     return total
 
 
-def mean_field_slope(model: NoiseModel, design: QuantizerDesign,
-                     spec: QuantizerSpec) -> float:
+def mean_field_slope(design: QuantizerDesign) -> float:
     """Derivative of the mean field at zero error, -2 * sum(levels * drops).
 
     Equals minus the quantized Fisher information when the levels are the
     optimal drop/probability ratios.
     """
-    _, drops = interval_stats(model, spec)
-    return float(-2.0 * np.sum(design.levels * drops))
+    return float(-2.0 * np.sum(design.levels * design.drops))
 
 
 # ---- plain-text design tables ----------------------------------------

@@ -38,6 +38,9 @@ class SignalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SignalKind(self.kind))
+        for name in ("x0", "sigma_w", "u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind is SignalKind.CONSTANT and (self.sigma_w != 0.0 or self.u != 0.0):
             raise ValueError("constant signal requires sigma_w = 0 and u = 0")
         if self.kind is SignalKind.WIENER and (self.sigma_w <= 0.0 or self.u != 0.0):
@@ -152,7 +155,7 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
         e = x_hat - x
         err2[:, k - 1] = e * e
 
-    diverged = [rep_lo + i for i in np.nonzero(dead)[0]]
+    diverged = (rep_lo + np.flatnonzero(dead)).tolist()
     sumsq = err2[~dead].sum(axis=0)
     return sumsq, int(n_rep - dead.sum()), diverged
 

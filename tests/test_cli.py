@@ -138,6 +138,25 @@ def test_load_experiment_config_continuous_and_drift(tmp_path):
     assert config.signal.u == 1e-4
 
 
+@pytest.mark.parametrize("section, key, value, where", [
+    ("signal", "u", "nan", "u must be finite"),
+    ("quantizer", "nbits", "0", "nbits must be >= 1"),
+    ("quantizer", "nbits", "-1", "nbits must be >= 1"),
+])
+def test_load_experiment_config_rejects_bad_values(tmp_path, section, key, value,
+                                                   where):
+    entries = {"signal": {"kind": "wiener_drift", "sigma_w": "0.1", "u": "1e-4"},
+               "noise": {"family": "gg", "beta": "2.0"},
+               "quantizer": {"cdelta": "0.69"}}
+    entries[section][key] = value
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+        for name, body in entries.items()))
+    with pytest.raises(ValueError, match=where):
+        load_experiment_config(cfg_path)
+
+
 def test_load_experiment_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_experiment_config(tmp_path / "nope.cfg")
@@ -274,3 +293,16 @@ def test_threads_must_be_positive(capsys, subcommand, threads):
     with pytest.raises(SystemExit):
         main(subcommand + ["--threads", threads])
     assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--noise", "gg", "--beta", "2", "--nbits", "0"],
+    ["design", "--noise", "gg", "--beta", "2", "--nbits", "-1"],
+    ["loss-table", "--nbits", "0,2"],
+    ["loss-table", "--nbits", "2,-1"],
+])
+def test_nbits_must_be_positive(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit):
+        main(argv + ["--out", str(tmp_path)])
+    assert "--nbits" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

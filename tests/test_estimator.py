@@ -43,6 +43,9 @@ def test_schedule_validation():
         (ScheduleKind.WIENER_DRIFT, dict(u_floor=math.inf)),
         (ScheduleKind.WIENER_DRIFT, dict(u_floor=math.nan)),
         (ScheduleKind.CONSTANT, dict(u_floor=0.0)),
+        (ScheduleKind.WIENER, dict(sigma_w=math.nan)),
+        (ScheduleKind.WIENER, dict(sigma_w=math.inf)),
+        (ScheduleKind.CONSTANT, dict(sigma_w=math.nan)),
     ]:
         with pytest.raises(ValueError):
             GainSchedule(kind, 1.0, **overrides)
@@ -82,6 +85,9 @@ def test_state_validation():
         EstimatorState(math.nan)
     with pytest.raises(ValueError):
         EstimatorState(0.0, k=-1)
+    for u_hat in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="u_hat"):
+            EstimatorState(0.0, u_hat=u_hat)
 
 
 def test_step_quantized_moves_toward_observation(gauss_design):

@@ -1,13 +1,22 @@
-"""Hypothesis properties of the tail probabilities and the mean field."""
+"""Hypothesis properties of the special functions, the tail probabilities,
+the quantized update direction and the mean field."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from scipy import special as sps
 
+from adaptquant.estimator import direction
 from adaptquant.noise import Family, NoiseModel
 from adaptquant.quantizer import mean_field
+from adaptquant.special import (
+    incomplete_beta_regularized,
+    regularized_gamma_p,
+    regularized_gamma_q,
+)
 
 models = hs.builds(NoiseModel, hs.sampled_from(Family), hs.floats(0.5, 10.0),
                    hs.floats(0.1, 10.0))
@@ -87,3 +96,47 @@ def test_mean_field_is_odd_and_restoring(cached_design, model, nbits, r, log_r, 
     assert abs(odd_gap) * model.delta <= 1e-14
     eps = sign * math.exp(log_r) * model.delta
     assert eps * mean_field(model, design, eps) < 0.0
+
+
+#: gamma shapes 1/beta of GG noise with beta in [0.01, 20]
+gamma_shapes = hs.floats(0.05, 100.0)
+nonnegative = hs.floats(0.0, allow_nan=False)  # subnormals and +inf included
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma_shapes, hs.lists(nonnegative, min_size=1, max_size=8))
+def test_regularized_gamma_matches_scipy(a, xs):
+    for fn, ref in ((regularized_gamma_q, sps.gammaincc),
+                    (regularized_gamma_p, sps.gammainc)):
+        want = ref(a, np.array(xs))
+        assert [fn(a, x) for x in xs] == pytest.approx(want, rel=1e-12, abs=1e-280)
+        assert fn(a, np.array(xs)) == pytest.approx(want, rel=1e-12, abs=1e-280)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.floats(0.05, 50.0), hs.floats(0.05, 50.0),
+       hs.lists(hs.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_incomplete_beta_matches_scipy(a, b, xs):
+    want = sps.betainc(a, b, np.array(xs))
+    assert [incomplete_beta_regularized(x, a, b) for x in xs] == pytest.approx(
+        want, rel=1e-10)
+    assert incomplete_beta_regularized(np.array(xs), a, b) == pytest.approx(
+        want, rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models, hs.integers(1, 5),
+       hs.lists(hs.one_of(hs.floats(-20.0, 20.0), reals), min_size=1, max_size=8))
+def test_direction_is_odd(cached_design, model, nbits, ratios):
+    _, _, design = cached_design(model.family, model.beta, nbits, model.delta)
+    edges, levels = design.thresholds, design.levels
+    diffs = [r * model.delta for r in ratios if r * model.delta != 0.0]
+    for d in diffs:
+        assert direction(-d, edges, levels) == -direction(d, edges, levels)
+    diffs = np.array(diffs)
+    np.testing.assert_array_equal(direction(-diffs, edges, levels),
+                                  -direction(diffs, edges, levels))
+    # the tie at the offset maps to the first positive cell
+    assert direction(0.0, edges, levels) == levels[0]
+    assert direction(np.zeros(2), edges, levels).tolist() == [levels[0]] * 2
+

@@ -58,11 +58,16 @@ def test_quantize_symbols():
     assert quantize(10.2, 10.0, spec, 1.0) == 1
 
 
+def spec_stats(model, spec):
+    """interval_stats at the absolute edges of ``spec``, as build_design forms them."""
+    return interval_stats(model, spec.finite_tau * (spec.c_delta * model.delta))
+
+
 def test_interval_stats_anchor_gg2_two_bits():
     """Per-interval masses and density drops for the Gaussian-type noise."""
     m = gg(2.0)
     spec = QuantizerSpec.uniform(4, 1.0)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = spec_stats(m, spec)
     np.testing.assert_allclose(probs, [0.42135039647485745, 0.07864960352514256],
                                rtol=1e-10)
     np.testing.assert_allclose(drops, [0.35663586, 0.20755375], rtol=1e-6)
@@ -74,7 +79,7 @@ def test_interval_stats_anchor_gg2_two_bits():
 def test_interval_stats_against_quadrature(family, beta, nbits):
     m = gg(beta) if family == "gg" else st(beta)
     spec = QuantizerSpec.uniform(2 ** nbits, 0.7)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = spec_stats(m, spec)
     step = spec.c_delta * m.delta
     edges = [0.0] + [t * step for t in spec.tau]
     for i in range(spec.n_intervals // 2):
@@ -85,10 +90,37 @@ def test_interval_stats_against_quadrature(family, beta, nbits):
     assert probs.sum() == pytest.approx(0.5, rel=1e-10)
 
 
+@pytest.mark.parametrize("family,beta", [("gg", 2.0), ("gg", 1.5), ("st", 3.0)])
+@pytest.mark.parametrize("n_edges", [0, 1, 4])
+def test_interval_stats_rows_equal_single_designs(family, beta, n_edges):
+    """A matrix of non-uniform edge rows gives, row for row, the bits of the
+    one-design call; a degenerate row is returned, and only the guards raise."""
+    m = NoiseModel(family, beta, 0.7)
+    rng = np.random.default_rng(40 + n_edges)
+    rows = np.sort(rng.uniform(0.05, 6.0, (5, n_edges)), axis=1)
+    rows[-1] *= 1e120  # outer cell mass far below MIN_INTERVAL_MASS
+    probs, drops = interval_stats(m, rows)
+    assert probs.shape == drops.shape == (5, n_edges + 1)
+    for row, p, d in zip(rows, probs, drops):
+        one_p, one_d = interval_stats(m, row)
+        assert one_p.shape == one_d.shape == (n_edges + 1,)
+        np.testing.assert_array_equal(p, one_p)
+        np.testing.assert_array_equal(d, one_d)
+    if n_edges:
+        assert probs[-1, -1] < MIN_INTERVAL_MASS
+        with pytest.raises(DesignError):
+            optimal_levels(probs[-1], drops[-1])
+        with pytest.raises(DesignError):
+            fisher_quantized(probs, drops)
+    np.testing.assert_array_equal(fisher_quantized(probs[:-1], drops[:-1]),
+                                  [fisher_quantized(p, d)
+                                   for p, d in zip(probs[:-1], drops[:-1])])
+
+
 def test_one_bit_gaussian_information():
     m = gg(2.0)
     spec = QuantizerSpec.uniform(2, 1.0)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = spec_stats(m, spec)
     info = fisher_quantized(probs, drops)
     assert info == pytest.approx(4.0 / math.pi, rel=1e-12)
     assert m.fisher_continuous() / info == pytest.approx(math.pi / 2.0, rel=1e-12)
@@ -97,7 +129,7 @@ def test_one_bit_gaussian_information():
 def test_optimal_levels_anchor():
     m = gg(2.0)
     spec = QuantizerSpec.uniform(4, 1.0)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = spec_stats(m, spec)
     levels = optimal_levels(probs, drops)
     np.testing.assert_allclose(levels, [0.84641, 2.63897], rtol=1e-5)
     # quantized information never exceeds the unquantized value
@@ -123,7 +155,7 @@ def test_laplace_information_flat_in_step():
     vals = []
     for c in [0.05, 0.5, 1.0, 3.0]:
         spec = QuantizerSpec.uniform(4, c)
-        probs, drops = interval_stats(m, spec)
+        probs, drops = spec_stats(m, spec)
         vals.append(fisher_quantized(probs, drops))
     np.testing.assert_allclose(vals, 1.0, rtol=1e-12)
     c, info = optimize_cdelta(m, 4)
@@ -137,7 +169,7 @@ def test_optimize_cdelta_gauss_two_bits():
     # interior optimum: neighbors on the grid are no better
     for other in [c - 0.01, c + 0.01]:
         spec = QuantizerSpec.uniform(4, other)
-        probs, drops = interval_stats(m, spec)
+        probs, drops = spec_stats(m, spec)
         assert fisher_quantized(probs, drops) <= info + 1e-15
     assert 0.01 < c < 10.0
 
@@ -150,10 +182,8 @@ def reference_search(model, n_intervals, grid):
     lo, hi, step = grid
     infos, degenerate = {}, set()
     for c in np.round(np.arange(lo, hi + step / 2, step), 12):
-        try:
-            probs, drops = interval_stats(model,
-                                          QuantizerSpec.uniform(n_intervals, float(c)))
-        except DesignError:
+        probs, drops = spec_stats(model, QuantizerSpec.uniform(n_intervals, float(c)))
+        if np.any(probs < MIN_INTERVAL_MASS):
             degenerate.add(float(c))
             continue
         infos[float(c)] = fisher_quantized(probs, drops)
@@ -169,8 +199,8 @@ def assert_search_matches_loop(model, n_intervals, grid):
     assert c == ref_c
     assert info == pytest.approx(ref_infos[ref_c], rel=1e-13)
     values = np.round(np.arange(grid[0], grid[1] + grid[2] / 2, grid[2]), 12)
-    probs, drops = interval_stats(model, QuantizerSpec.uniform(n_intervals, 1.0),
-                                  c_delta=values)
+    tau = QuantizerSpec.uniform(n_intervals, 1.0).finite_tau
+    probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
     degenerate = np.any(probs < MIN_INTERVAL_MASS, axis=1)
     assert set(values[degenerate].tolist()) == ref_degenerate
     np.testing.assert_allclose(fisher_quantized(probs[~degenerate], drops[~degenerate]),
@@ -209,7 +239,7 @@ def test_build_design_consistency():
     m = st(3.0)
     spec = QuantizerSpec.uniform(4, 0.8)
     d = build_design(m, spec)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = spec_stats(m, spec)
     np.testing.assert_allclose(d.probs, probs)
     np.testing.assert_allclose(d.levels, drops / probs)
     assert d.info == pytest.approx(fisher_quantized(probs, drops), rel=1e-14)
@@ -290,7 +320,7 @@ def test_mean_field_properties():
     h = 1e-6
     slope_fd = (mean_field(m, design, h)
                 - mean_field(m, design, -h)) / (2.0 * h)
-    assert mean_field_slope(m, design, spec) == pytest.approx(slope_fd, rel=1e-4)
+    assert mean_field_slope(design) == pytest.approx(slope_fd, rel=1e-4)
 
 
 def mean_field_by_cdf_pairs(model, design, spec, eps):

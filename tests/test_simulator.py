@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, theory agreement, and CSV output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def test_signal_model_validation():
         SignalModel(SignalKind.WIENER, sigma_w=0.0)
     with pytest.raises(ValueError):
         SignalModel(SignalKind.WIENER_DRIFT, sigma_w=0.1, u=0.0)
+    # NaN passes every comparison, so each field is checked to be finite
+    for bad in (math.nan, math.inf, -math.inf):
+        for name, kind, fields in [
+            ("x0", SignalKind.CONSTANT, dict(x0=bad)),
+            ("x0", SignalKind.WIENER, dict(x0=bad, sigma_w=0.1)),
+            ("sigma_w", SignalKind.WIENER, dict(sigma_w=bad)),
+            ("sigma_w", SignalKind.WIENER_DRIFT, dict(sigma_w=bad, u=1e-4)),
+            ("u", SignalKind.WIENER_DRIFT, dict(sigma_w=0.1, u=bad)),
+        ]:
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SignalModel(kind, **fields)
 
 
 def test_generate_path_statistics(rng):
@@ -226,7 +238,7 @@ def test_all_replications_diverging_raises():
 
     m = gg(2.0)
     spec = QuantizerSpec.uniform(2, 1.0)
-    probs, drops = interval_stats(m, spec)
+    probs, drops = interval_stats(m, np.array([]))
     # absurd levels make the fixed-gain recursion blow up
     design = QuantizerDesign(probs, drops, np.array([1e9]),
                              info=4.0 / math.pi, step=1.0,
@@ -234,7 +246,8 @@ def test_all_replications_diverging_raises():
     sig = SignalModel(SignalKind.WIENER, sigma_w=1.0)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=20,
                       horizon=100, burn_in=10, seed=29)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match=re.escape(
+            "all 20 replications diverged: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]...")):
         run_experiment(cfg, design=design)
 
 
