@@ -43,15 +43,16 @@ class NoiseModel:
     def pdf(self, x):
         """Density f(x); accepts scalars or arrays."""
         z = np.asarray(x, dtype=float) / self.delta
-        if self.family is Family.GG:
-            norm = self.beta / (2.0 * math.gamma(1.0 / self.beta))
-            out = norm * np.exp(-np.abs(z) ** self.beta)
-        else:
-            b = self.beta
-            norm = math.exp(
-                math.lgamma((b + 1.0) / 2.0) - math.lgamma(b / 2.0)
-            ) / math.sqrt(b * math.pi)
-            out = norm * (1.0 + z * z / b) ** (-(b + 1.0) / 2.0)
+        b = self.beta
+        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf: density 0
+            if self.family is Family.GG:
+                norm = b / (2.0 * math.gamma(1.0 / b))
+                out = norm * np.exp(-np.abs(z) ** b)
+            else:
+                norm = math.exp(
+                    math.lgamma((b + 1.0) / 2.0) - math.lgamma(b / 2.0)
+                ) / math.sqrt(b * math.pi)
+                out = norm * (1.0 + z * z / b) ** (-(b + 1.0) / 2.0)
         out = out / self.delta
         return float(out) if np.isscalar(x) else out
 
@@ -96,10 +97,11 @@ class NoiseModel:
             )
         z = np.asarray(x, dtype=float) / self.delta
         b = self.beta
-        if self.family is Family.GG:
-            out = -b * np.sign(z) * np.abs(z) ** (b - 1.0)
-        else:
-            out = -(b + 1.0) * z / (b + z * z)
+        with np.errstate(over="ignore"):  # |z|**(beta-1) or z*z is inf
+            if self.family is Family.GG:
+                out = -b * np.sign(z) * np.abs(z) ** (b - 1.0)
+            else:
+                out = -(b + 1.0) * z / (b + z * z)
         out = out / self.delta
         return float(out) if np.isscalar(x) else out
 
@@ -133,20 +135,26 @@ class NoiseModel:
     def sample(self, rng: np.random.Generator, size=None):
         """Draw i.i.d. samples.
 
-        GG: |V| = delta * G^(1/beta) with G ~ Gamma(1/beta), random sign.
-        ST: V = delta * Z / sqrt(C/beta) with Z standard normal and C
-        chi-square with beta degrees of freedom.
+        All variates of a sample come from one numpy call that draws sample
+        after sample, so draws split into pieces give the same values as
+        drawn in one piece: the Monte Carlo engine draws in time blocks.
+
+        GG, beta = 2: V = delta / sqrt(2) * Z with Z standard normal.
+        GG, other beta: |V| = delta * G^(1/beta) with G ~ Gamma(1/beta),
+        signed + when an Exp(1) draw E exceeds ln 2 (probability 1/2); one
+        gamma call draws the (G, E) pairs.
+        ST: V = delta * T with T Student's t with beta degrees of freedom.
         """
         b = self.beta
         n = 1 if size is None else size
-        if self.family is Family.GG:
-            g = rng.gamma(1.0 / b, size=n)
-            sign = rng.integers(0, 2, size=n) * 2 - 1
-            out = self.delta * sign * g ** (1.0 / b)
+        if self.family is Family.ST:
+            out = self.delta * rng.standard_t(b, size=n)
+        elif b == 2.0:
+            out = self.delta / math.sqrt(2.0) * rng.standard_normal(n)
         else:
-            z = rng.standard_normal(n)
-            c = rng.chisquare(b, size=n)
-            out = self.delta * z / np.sqrt(c / b)
+            g = rng.gamma(np.array([1.0 / b, 1.0]), size=(n, 2))
+            sign = np.where(g[:, 1] > math.log(2.0), 1.0, -1.0)
+            out = self.delta * sign * g[:, 0] ** (1.0 / b)
         return float(out[0]) if size is None else out
 
 

@@ -1,9 +1,16 @@
 """Monte Carlo engine: replicated estimator runs, MSE curves, simulated losses.
 
-Replications are vectorized in fixed-size chunks, run one after another;
-each replication owns an RNG stream derived from (seed, replication index),
-and the chunk sums are added in chunk order, so results are bit-identical
-for a given seed.
+Replications are vectorized in chunks of ``CHUNK_SIZE``, run one after
+another.  Replication r of a run with seed s draws its path and its noise
+from two sub-streams of its own: the children 0 and 1 of
+``SeedSequence([s, r]).spawn(2)`` (a constant signal draws no path).  A
+chunk advances in time blocks: the paths, observations and estimates of a
+block are time-major (steps, replications) matrices of at most
+``BLOCK_ELEMENTS`` floats, and only the per-step sum of squared errors is
+kept, so memory does not grow with the horizon.  numpy's draws give the
+same values in one piece as split into blocks, so the results do not
+depend on the block length; the chunk sums are added in chunk order, so
+results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from .quantizer import QuantizerDesign, QuantizerSpec, build_design
 
 #: replications per vectorized chunk; fixed, because the floating-point sum
 #: of the chunk results depends on where the chunks split
-CHUNK_SIZE = 512
+CHUNK_SIZE = 2048
+
+#: floats per work matrix: a chunk is run in time blocks of
+#: BLOCK_ELEMENTS // replications steps (256 at a full chunk)
+BLOCK_ELEMENTS = 2**19
+
+#: replications per tile when per-replication draws are made time-major
+TILE = 32
 
 #: a replication whose estimate exceeds this many noise scales is aborted
 DIVERGENCE_FACTOR = 1e6
@@ -54,8 +68,25 @@ def generate_path(signal: SignalModel, horizon: int,
     """Sample X_1..X_horizon of the parameter process."""
     if signal.kind is SignalKind.CONSTANT:
         return np.full(horizon, signal.x0)
-    incr = signal.u + signal.sigma_w * rng.standard_normal(horizon)
-    return signal.x0 + np.cumsum(incr)
+    sums = np.zeros((1, horizon + 1))
+    _walk(signal, [rng], sums)
+    return signal.x0 + sums[0, 1:]
+
+
+def _walk(signal: SignalModel, rngs, sums: np.ndarray) -> None:
+    """Advance the random walks X_k - x0 in place, one row of ``sums`` per
+    generator in ``rngs``: column 0 holds each walk's current value and
+    columns 1.. receive its next values.
+
+    The running sum is carried in front of the new increments, so a walk
+    has the same bits however its steps are split into blocks.
+    """
+    for rng, row in zip(rngs, sums):
+        rng.standard_normal(out=row[1:])
+    incr = sums[:, 1:]
+    incr *= signal.sigma_w
+    incr += signal.u
+    np.cumsum(sums, axis=1, out=sums)
 
 
 @dataclass(frozen=True)
@@ -121,14 +152,26 @@ class DivergenceError(RuntimeError):
 # ---- core chunked simulation ------------------------------------------
 
 
-def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
-    """Squared-error matrix for replications [rep_lo, rep_hi) plus divergers."""
+def _streams(seed: int, reps, key: int) -> list[np.random.Generator]:
+    """Sub-stream ``key`` (0 path, 1 noise) of each replication in ``reps``:
+    the ``key``-th child of ``SeedSequence([seed, rep]).spawn(2)``."""
+    return [np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([seed, rep], spawn_key=(key,)))) for rep in reps]
+
+
+def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
+    """Per-step Σe² over replications ``reps`` and the mask of those that diverged.
+
+    Works in time blocks on four fixed matrices of at most
+    ``BLOCK_ELEMENTS`` floats, so memory does not depend on the horizon.
+    The sum over a diverged replication is kept: the caller reruns without it.
+    """
     signal, noise = config.signal, config.noise
-    horizon = config.horizon
-    rngs = [np.random.default_rng([config.seed, rep]) for rep in range(rep_lo, rep_hi)]
-    paths = np.vstack([generate_path(signal, horizon, rng) for rng in rngs])
-    noises = np.vstack([noise.sample(rng, horizon) for rng in rngs])
-    n_rep = rep_hi - rep_lo
+    n_rep = len(reps)
+    moving = signal.kind is not SignalKind.CONSTANT
+    path_rngs = _streams(config.seed, reps, 0) if moving else None
+    noise_rngs = _streams(config.seed, reps, 1)
+    block = min(config.horizon, max(1, BLOCK_ELEMENTS // n_rep))
 
     info = noise.fisher_continuous() if design is None else design.info
     schedule = GainSchedule(signal.kind, info, signal.sigma_w,
@@ -139,25 +182,70 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     x_hat = np.full(n_rep, signal.x0 + config.initial_offset)
     limit = DIVERGENCE_FACTOR * noise.delta
     dead = np.zeros(n_rep, dtype=bool)
-    err2 = np.empty((n_rep, horizon))
+    sumsq = np.empty(config.horizon)
+    # per-replication draws (column 0 carries the walks) and the time-major
+    # paths, observations and estimates of one block
+    draws = np.zeros((n_rep, block + 1))
+    paths = (np.empty((block, n_rep)) if moving
+             else np.broadcast_to(signal.x0, (block, n_rep)))
+    obs, x_hats = np.empty((block, n_rep)), np.empty((block, n_rep))
 
-    for k in range(1, horizon + 1):
-        x = paths[:, k - 1]
-        diff = x + noises[:, k - 1] - x_hat
-        d = (-noise.score(diff) if design is None
-             else direction(diff, design.thresholds, design.levels))
-        x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
-        # written so that a NaN estimate counts as diverged
-        newly_dead = (~dead) & ~(np.abs(x_hat) <= limit)
-        if newly_dead.any():
-            dead |= newly_dead
-            x_hat = np.where(dead, x, x_hat)
-        e = x_hat - x
-        err2[:, k - 1] = e * e
+    for start in range(0, config.horizon, block):
+        steps = min(block, config.horizon - start)
+        if moving:
+            _walk(signal, path_rngs, draws[:, :steps + 1])
+            _time_major(draws[:, 1:steps + 1], paths[:steps])
+            paths[:steps] += signal.x0
+            draws[:, 0] = draws[:, steps]
+        for rng, row in zip(noise_rngs, draws):
+            row[1:steps + 1] = noise.sample(rng, steps)
+        _time_major(draws[:, 1:steps + 1], obs[:steps])
+        obs[:steps] += paths[:steps]
+        for i in range(steps):
+            k = start + i + 1
+            diff = obs[i] - x_hat
+            d = (-noise.score(diff) if design is None
+                 else direction(diff, design.thresholds, design.levels))
+            x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
+            # written so that a NaN estimate counts as diverged
+            newly_dead = (~dead) & ~(np.abs(x_hat) <= limit)
+            if newly_dead.any():
+                dead |= newly_dead
+                x_hat = np.where(dead, paths[i], x_hat)
+            x_hats[i] = x_hat
+        err2 = x_hats[:steps]
+        err2 -= paths[:steps]
+        err2 *= err2
+        sumsq[start:start + steps] = err2.sum(axis=1)
+    return sumsq, dead
 
-    diverged = (rep_lo + np.flatnonzero(dead)).tolist()
-    sumsq = err2[~dead].sum(axis=0)
-    return sumsq, int(n_rep - dead.sum()), diverged
+
+def _time_major(rows: np.ndarray, out: np.ndarray) -> None:
+    """Copy the (replications, steps) matrix ``rows`` transposed into
+    ``out``, in tiles of ``TILE`` replications: a plain transposed copy
+    misses the cache on nearly every element."""
+    for j in range(0, len(rows), TILE):
+        out[:, j:j + TILE] = rows[j:j + TILE].T
+
+
+def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
+    """Per-step Σe² over the replications in [rep_lo, rep_hi) that never
+    diverged, their count, and the ids of the diverged ones.
+
+    A chunk in which some replication diverged is run once more over the
+    survivors; they draw the same values from their own streams.
+    """
+    reps = np.arange(rep_lo, rep_hi)
+    diverged = []
+    while len(reps):
+        sumsq, dead = _replication_errors(config, design, reps)
+        if not dead.any():
+            break
+        diverged.extend(reps[dead].tolist())
+        reps = reps[~dead]
+    else:  # every replication diverged
+        sumsq = np.zeros(config.horizon)
+    return sumsq, len(reps), sorted(diverged)
 
 
 def _aggregate(config: ExperimentConfig, design):

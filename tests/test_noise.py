@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc
-from scipy.stats import kstest
+from scipy.stats import gennorm, kstest
 
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 
@@ -167,6 +167,21 @@ def test_score_anchor_values():
                                            rel=1e-12, abs=1e-15)
 
 
+def test_far_tail_values_raise_no_overflow_warning():
+    """|x/delta|**beta and x*x overflow to inf far out; the values stay
+    right and, under the suite's error::RuntimeWarning filter, quiet."""
+    x = 1e200
+    for m in (gg(2.0), gg(3.0), st(3.0), st(1.0)):
+        assert m.pdf(x) == 0.0
+        assert m.pdf(np.array([x, -x])).tolist() == [0.0, 0.0]
+    assert gg(2.0).score(x) == -2.0 * x
+    assert gg(3.0).score(np.array([x, -x])).tolist() == [-math.inf, math.inf]
+    # the true ST score -(beta+1)/x is 4e-200 here
+    tail = st(3.0).score(np.array([x, -x]))
+    assert tail[0] <= 0.0 <= tail[1] and np.all(np.abs(tail) <= 1e-199)
+    assert abs(st(3.0).score(x)) <= 1e-199
+
+
 def test_score_rejected_for_nondifferentiable_gg():
     with pytest.raises(ValueError):
         gg(1.0).score(0.5)
@@ -187,6 +202,48 @@ def test_gg_sampling_variance(rng):
     var = draws.var()
     se = math.sqrt(2.0 / len(draws)) * 2.0  # var of sample variance, Gaussian
     assert abs(var - 2.0) < 3.0 * se
+
+
+def test_gg2_sampler_is_normal():
+    """GG beta = 2 is N(0, delta^2/2), drawn as delta/sqrt(2) * normal
+    (its variance is checked by test_gg_sampling_variance)."""
+    delta = 1.7
+    draws = gg(2.0, delta).sample(np.random.default_rng(2024), 50_000)
+    assert kstest(draws, gennorm(2.0, scale=delta).cdf).pvalue > 1e-3
+    again = delta / math.sqrt(2.0) * np.random.default_rng(2024).standard_normal(50_000)
+    assert np.array_equal(draws, again)
+
+
+class _Recorder:
+    """A generator that records the names of the draws made from it."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("model,draw", [
+    (gg(2.0), "standard_normal"), (gg(1.5), "gamma"), (gg(2.5), "gamma"),
+    (gg(1.0), "gamma"), (st(2.0), "standard_t"), (st(1.0), "standard_t"),
+])
+def test_each_sampler_is_one_draw(model, draw):
+    rec = _Recorder(7)
+    model.sample(rec, 10)
+    assert rec.calls == [draw]
+
+
+@pytest.mark.parametrize("family,beta",
+                         ALL_SHAPES + [(Family.GG, 0.7), (Family.GG, 10.0)])
+def test_samples_do_not_depend_on_the_split(family, beta):
+    """The Monte Carlo engine draws each replication's noise in time blocks."""
+    m = NoiseModel(family, beta, 1.3)
+    split = np.random.default_rng(31)
+    whole = m.sample(np.random.default_rng(31), 20)
+    assert np.array_equal(np.concatenate([m.sample(split, 7), m.sample(split, 13)]),
+                          whole)
 
 
 def test_symmetry_of_samples(rng):

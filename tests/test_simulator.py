@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from adaptquant.estimator import (
 )
 from adaptquant.noise import Family, NoiseModel, gg, st
 from adaptquant.quantizer import QuantizerSpec, build_design, design_uniform
+from adaptquant import simulator
 from adaptquant.simulator import (
+    CHUNK_SIZE,
     DivergenceError,
     ExperimentConfig,
     SignalKind,
@@ -96,7 +99,7 @@ def test_config_validation():
 
 
 def test_determinism_same_seed_and_threads():
-    cfg = make_config(replications=700)  # spans two chunks
+    cfg = make_config(replications=CHUNK_SIZE + 100)  # spans two chunks
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     np.testing.assert_array_equal(a.mse_curve, b.mse_curve)
@@ -251,18 +254,23 @@ def test_all_replications_diverging_raises():
         run_experiment(cfg, design=design)
 
 
-def test_nan_level_counts_as_diverged():
-    """A NaN estimate is caught by the divergence guard, not averaged in."""
+def _nan_level_case():
+    """A config whose design has a NaN outer level: some replications diverge."""
     m = gg(2.0)
     spec = QuantizerSpec.uniform(4, 2.0)  # outer cell beyond 2 noise scales
     design = build_design(m, spec)
     one_nan = replace(design, levels=np.array([design.levels[0], np.nan]))
-    cfg = make_config(noise=m, quantizer=spec, initial_offset=0.0)
+    return make_config(noise=m, quantizer=spec, initial_offset=0.0), one_nan
+
+
+def test_nan_level_counts_as_diverged():
+    """A NaN estimate is caught by the divergence guard, not averaged in."""
+    cfg, one_nan = _nan_level_case()
     res = run_experiment(cfg, design=one_nan)
     assert 0 < res.diverged < cfg.replications
     assert np.all(np.isfinite(res.mse_curve))
     assert math.isfinite(res.simulated_loss_db)
-    all_nan = replace(design, levels=np.array([np.nan, np.nan]))
+    all_nan = replace(one_nan, levels=np.array([np.nan, np.nan]))
     with pytest.raises(DivergenceError):
         run_experiment(cfg, design=all_nan)
 
@@ -293,10 +301,13 @@ PARITY_SIGNALS = [
 
 
 def _replication_zero(cfg):
-    """Observations and path of replication 0, drawn as the engine draws them."""
-    rng = np.random.default_rng([cfg.seed, 0])
-    path = generate_path(cfg.signal, cfg.horizon, rng)
-    return path, path + cfg.noise.sample(rng, cfg.horizon)
+    """Observations and path of replication 0, drawn as the engine draws them:
+    the path from the first and the noise from the second child stream of
+    ``SeedSequence([seed, 0])``, each in one piece."""
+    path_rng, noise_rng = map(np.random.default_rng,
+                              np.random.SeedSequence([cfg.seed, 0]).spawn(2))
+    path = generate_path(cfg.signal, cfg.horizon, path_rng)
+    return path, path + cfg.noise.sample(noise_rng, cfg.horizon)
 
 
 def _scalar_errors(cfg, info, step):
@@ -352,3 +363,82 @@ def test_scalar_api_matches_engine_continuous(signal, noise):
         cfg, noise.fisher_continuous(),
         lambda state, y, schedule: step_continuous(state, y, noise, schedule))
     assert np.array_equal(err2, res.mse_curve)
+
+
+# ---- streaming engine: time blocks, per-replication sub-streams --------
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, n: rng.gamma(0.5, size=n),
+    lambda rng, n: rng.integers(0, 2, size=n),
+    lambda rng, n: rng.standard_normal(n),
+    lambda rng, n: rng.standard_normal(out=np.empty(n)),
+    lambda rng, n: rng.chisquare(2.0, size=n),
+    lambda rng, n: rng.standard_t(2.0, size=n),
+    lambda rng, n: rng.gamma(np.array([0.5, 1.0]), size=(n, 2)),
+], ids=["gamma", "integers", "standard_normal", "standard_normal_out", "chisquare",
+        "standard_t", "gamma_pairs"])
+def test_draws_do_not_depend_on_the_split(draw):
+    """The engine draws in time blocks; block-length independence rests on
+    numpy giving the same values drawn as 7 + 13 as drawn as 20.  Each
+    sampler makes one such call (two calls, e.g. normal then chi-square,
+    would interleave differently per block)."""
+    split = np.random.default_rng(99)
+    whole = draw(np.random.default_rng(99), 20)
+    assert np.array_equal(np.concatenate([draw(split, 7), draw(split, 13)]), whole)
+
+
+def _block_cases():
+    m = gg(2.0)
+    spec, design = design_uniform(m, 4)
+    drift = SignalModel(SignalKind.WIENER_DRIFT, x0=0.5, sigma_w=1e-3, u=1e-3)
+    return {
+        "constant": (make_config(noise=m, quantizer=spec), design),
+        "drift": (make_config(signal=drift, noise=st(2.0), quantizer=None,
+                              drift_initial=None), None),
+        "diverging": _nan_level_case(),
+    }
+
+
+@pytest.mark.parametrize("case", ["constant", "drift", "diverging"])
+def test_aggregate_does_not_depend_on_the_block_length(case, monkeypatch):
+    cfg, design = _block_cases()[case]
+    mse, diverged = simulator._aggregate(cfg, design)
+    # 200 replications: one block of 300 steps, then blocks of 7 steps
+    monkeypatch.setattr(simulator, "BLOCK_ELEMENTS", 7 * cfg.replications + 5)
+    mse_split, diverged_split = simulator._aggregate(cfg, design)
+    assert np.array_equal(mse, mse_split)
+    assert diverged == diverged_split
+    assert (len(diverged) > 0) == (case == "diverging")
+
+
+def test_diverged_replications_leave_the_sum():
+    """The chunk reruns its survivors, whose streams are their own, so its
+    sum is the sum of their squared errors run one replication at a time."""
+    cfg, design = _nan_level_case()
+    sumsq, alive, diverged = simulator._chunk_errors(cfg, design, 0, cfg.replications)
+    survivors = sorted(set(range(cfg.replications)) - set(diverged))
+    assert 0 < len(diverged) and alive == len(survivors)
+    alone = [simulator._replication_errors(cfg, design, np.array([r]))
+             for r in survivors]
+    assert not any(dead.any() for _, dead in alone)
+    np.testing.assert_allclose(sumsq, np.sum([e for e, _ in alone], axis=0),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_chunk_memory_does_not_grow_with_the_horizon():
+    """A chunk keeps one time block of draws and estimates, not the horizon."""
+    sig = SignalModel(SignalKind.WIENER, sigma_w=0.01)
+    spec, design = design_uniform(gg(2.0), 4)
+    peaks = []
+    for horizon in (2000, 20_000):
+        cfg = make_config(signal=sig, quantizer=spec, replications=256,
+                          horizon=horizon, initial_offset=0.0)
+        tracemalloc.start()
+        try:
+            simulator._chunk_errors(cfg, design, 0, cfg.replications)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one float64 matrix of the whole chunk would be 41 MB at 20000 steps
+    assert peaks[1] - peaks[0] < 3e6, peaks
