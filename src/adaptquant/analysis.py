@@ -151,16 +151,20 @@ def mse_drift_tradeoff(gamma: float, u: float, info: float) -> float:
 
 # ---- ODE mean trajectory and stability diagnostics --------------------
 
+#: longest RK4 step of ``ode_mean_trajectory``, in harmonic time
+ODE_MAX_DT = 0.1
+#: largest |mean_field(0)| that ``check_stability`` accepts as zero
+ZERO_TOL = 1e-12
+
 
 def ode_mean_trajectory(model: NoiseModel, design: QuantizerDesign,
-                        x0_hat: float, x: float, horizon: int,
-                        max_dt: float = 0.1) -> np.ndarray:
+                        x0_hat: float, x: float, horizon: int) -> np.ndarray:
     """Mean estimator trajectory from the deterministic mean-field ODE.
 
     Integrates d(err)/dt = gamma * mean_field(err) with gamma = 1/info by
     classic fourth-order Runge-Kutta on the harmonic time grid
     t_k = sum_{j<=k} 1/j (the decreasing-gain time change), sub-stepping
-    so no RK4 step exceeds ``max_dt``.  Returns x_hat(t_k) for k = 1..horizon.
+    so no RK4 step exceeds ``ODE_MAX_DT``.  Returns x_hat(t_k) for k = 1..horizon.
     """
     gamma = 1.0 / design.info
 
@@ -171,8 +175,8 @@ def ode_mean_trajectory(model: NoiseModel, design: QuantizerDesign,
     out = np.empty(horizon)
     for k in range(1, horizon + 1):
         dt = 1.0 / k
-        for _ in range(max(1, math.ceil(dt / max_dt))):
-            h = dt / max(1, math.ceil(dt / max_dt))
+        for _ in range(max(1, math.ceil(dt / ODE_MAX_DT))):
+            h = dt / max(1, math.ceil(dt / ODE_MAX_DT))
             k1 = rhs(err)
             k2 = rhs(err + 0.5 * h * k1)
             k3 = rhs(err + 0.5 * h * k2)
@@ -191,8 +195,8 @@ class StabilityReport:
     violations: list = field(default_factory=list)  # (eps, h, lyapunov derivative)
 
 
-def check_stability(model: NoiseModel, design: QuantizerDesign, eps_grid=None,
-                    zero_tol: float = 1e-12) -> StabilityReport:
+def check_stability(model: NoiseModel, design: QuantizerDesign,
+                    eps_grid=None) -> StabilityReport:
     """Verify the mean field vanishes at zero error and opposes the error.
 
     The second condition is equivalent to a negative quadratic-Lyapunov
@@ -210,5 +214,5 @@ def check_stability(model: NoiseModel, design: QuantizerDesign, eps_grid=None,
         lyap = 2.0 * eps * h
         if lyap >= 0.0:
             violations.append((float(eps), h, lyap))
-    passed = abs(h0) <= zero_tol and not violations
+    passed = abs(h0) <= ZERO_TOL and not violations
     return StabilityReport(passed=passed, h_at_zero=h0, violations=violations)

@@ -135,90 +135,81 @@ def cmd_loss_table(args) -> int:
 # ---- simulate -----------------------------------------------------------
 
 
-#: every section and key an experiment file may set
+def _float_or_none(word):
+    """Parser of a number, or of ``word`` standing for None."""
+    return lambda text: None if text == word else float(text)
+
+
+#: the experiment file schema, section -> key -> parser; a key that a file
+#: leaves out is not passed, so it takes the default of the field it sets
 CONFIG_KEYS = {
-    "signal": {"kind", "x0", "sigma_w", "u"},
-    "noise": {"family", "beta", "delta"},
-    "quantizer": {"mode", "nbits", "cdelta", "grid_min", "grid_max", "grid_step"},
-    "run": {"replications", "horizon", "burn_in", "seed", "initial_offset"},
-    "drift_estimator": {"gain", "initial"},
+    "signal": {"kind": SignalKind, "x0": float, "sigma_w": float, "u": float},
+    "noise": {"family": Family, "beta": float, "delta": float},
+    "quantizer": {"mode": str, "nbits": int, "cdelta": _float_or_none("auto"),
+                  "grid_min": float, "grid_max": float, "grid_step": float},
+    "run": {"replications": int, "horizon": int, "burn_in": int, "seed": int,
+            "initial_offset": float},
+    "drift_estimator": {"gain": float, "initial": _float_or_none("true")},
 }
 
 
-def load_experiment_config(path, seed_override=None) -> tuple[ExperimentConfig, str]:
+def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     """Parse an INI experiment file into an ExperimentConfig.
 
-    Returns (config, mode) where mode is 'quantized' or 'continuous'.
-    A section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
-    cannot silently fall back to a default.
+    ``config.quantizer`` is None for ``[quantizer] mode = continuous``.  A
+    section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
+    cannot silently fall back to a default.  The only defaults here are
+    those no dataclass field holds: signal kind constant, GG noise with
+    beta 2, and a quantized mode with 2 bits and c_delta searched on the
+    grid, which defaults to ``DEFAULT_CDELTA_GRID``.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    for section in [parser.default_section] + parser.sections():
+    sections = {}
+    for section in [parser.default_section, *parser.sections()]:
         if section not in CONFIG_KEYS and section != parser.default_section:
             raise ValueError(f"{path}: unknown section [{section}]")
+        schema = CONFIG_KEYS.get(section, {})
         for key in parser[section]:
-            if key not in CONFIG_KEYS.get(section, ()):
+            if key not in schema:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-    sig = parser["signal"]
-    signal = SignalModel(
-        kind=SignalKind(sig.get("kind", "constant")),
-        x0=sig.getfloat("x0", 0.0),
-        sigma_w=sig.getfloat("sigma_w", 0.0),
-        u=sig.getfloat("u", 0.0),
-    )
-    noi = parser["noise"]
-    noise = NoiseModel(Family(noi.get("family", "gg")),
-                       noi.getfloat("beta", 2.0), noi.getfloat("delta", 1.0))
-    qua = parser["quantizer"] if parser.has_section("quantizer") else {}
-    mode = qua.get("mode", "quantized")
+        sections[section] = {key: schema[key](raw) for key, raw in parser.items(section)}
+    for name in ("signal", "noise"):
+        if name not in sections:
+            raise ValueError(f"{path}: missing section [{name}]")
+    signal = SignalModel(**{"kind": SignalKind.CONSTANT, **sections["signal"]})
+    noise = NoiseModel(**{"family": Family.GG, "beta": 2.0, **sections["noise"]})
+    qua = {"mode": "quantized", "nbits": 2, "cdelta": None,
+           **sections.get("quantizer", {})}
     spec = None
-    if mode == "quantized":
-        nbits = int(qua.get("nbits", "2"))
+    if qua["mode"] == "quantized":
+        nbits = qua["nbits"]
         if nbits < 1:
             raise ValueError(f"{path}: [quantizer] nbits must be >= 1, got {nbits}")
-        cdelta_raw = qua.get("cdelta", "auto")
-        if cdelta_raw == "auto":
-            grid = (float(qua.get("grid_min", DEFAULT_CDELTA_GRID[0])),
-                    float(qua.get("grid_max", DEFAULT_CDELTA_GRID[1])),
-                    float(qua.get("grid_step", DEFAULT_CDELTA_GRID[2])))
+        cdelta = qua["cdelta"]
+        if cdelta is None:
+            grid = tuple(qua.get(f"grid_{end}", default) for end, default
+                         in zip(("min", "max", "step"), DEFAULT_CDELTA_GRID))
             cdelta, _ = optimize_cdelta(noise, 2**nbits, grid)
-        else:
-            cdelta = float(cdelta_raw)
         spec = QuantizerSpec.uniform(2**nbits, cdelta)
-    elif mode != "continuous":
-        raise ValueError(f"unknown quantizer mode {mode!r}")
-    run = parser["run"] if parser.has_section("run") else {}
-    drift = parser["drift_estimator"] if parser.has_section("drift_estimator") else {}
-    drift_initial_raw = drift.get("initial", "0")
-    drift_initial = None if drift_initial_raw == "true" else float(drift_initial_raw)
-    config = ExperimentConfig(
-        signal=signal,
-        noise=noise,
-        quantizer=spec,
-        replications=int(run.get("replications", "10000")),
-        horizon=int(run.get("horizon", "2000")),
-        burn_in=int(run.get("burn_in", "0")),
-        seed=(seed_override if seed_override is not None
-              else int(run.get("seed", "0"))),
-        initial_offset=float(run.get("initial_offset", "0")),
-        drift_gain=float(drift.get("gain", "1e-5")),
-        drift_initial=drift_initial,
-    )
-    return config, mode
+    elif qua["mode"] != "continuous":
+        raise ValueError(f"unknown quantizer mode {qua['mode']!r}")
+    run = sections.get("run", {})
+    if seed_override is not None:
+        run["seed"] = seed_override
+    drift = {f"drift_{key}": value
+             for key, value in sections.get("drift_estimator", {}).items()}
+    return ExperimentConfig(signal, noise, spec, **run, **drift)
 
 
 def cmd_simulate(args) -> int:
-    config, mode = load_experiment_config(args.config, args.seed)
+    config = load_experiment_config(args.config, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.config).stem
-    if mode == "continuous":
-        result = run_continuous_reference(config)
-    else:
-        result = run_experiment(config)
+    run = run_continuous_reference if config.quantizer is None else run_experiment
+    result = run(config)
     write_result_csv(result, out_dir / f"{name}.csv")
     write_summary(result, out_dir / f"{name}.summary")
     manifest = dict(result.metadata)

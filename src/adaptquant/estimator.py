@@ -27,6 +27,9 @@ class SignalKind(str, Enum):
 
 ScheduleKind = SignalKind
 
+#: floor on |u_hat| in the drift gain: a zero estimate must not freeze it
+U_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class GainSchedule:
@@ -38,15 +41,13 @@ class GainSchedule:
     constant      : gain_k = 1 / (k * info)
     wiener        : gain_k = sigma_w / sqrt(info)
     wiener_drift  : gain_k = (4 * u_hat^2 / info^2)^(1/3), with |u_hat|
-                    floored at ``u_floor`` so a zero drift estimate cannot
-                    freeze the recursion.
+                    floored at ``U_FLOOR``.
     """
 
     kind: SignalKind
     info: float
     sigma_w: float = 0.0
     drift_gain: float = 1e-5
-    u_floor: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SignalKind(self.kind))
@@ -57,8 +58,6 @@ class GainSchedule:
                 f"sigma_w must be nonnegative and finite, got {self.sigma_w}")
         if self.kind is SignalKind.WIENER and self.sigma_w == 0.0:
             raise ValueError("wiener schedule requires sigma_w > 0")
-        if not 0.0 < self.u_floor < math.inf:
-            raise ValueError(f"u_floor must be positive and finite, got {self.u_floor}")
         if self.kind is SignalKind.WIENER_DRIFT and not 0.0 < self.drift_gain < math.inf:
             raise ValueError(
                 f"drift_gain must be positive and finite, got {self.drift_gain}")
@@ -75,7 +74,7 @@ def gain(schedule: GainSchedule, k: int, u_hat=0.0):
         return 1.0 / (k * schedule.info)
     if schedule.kind is SignalKind.WIENER:
         return schedule.sigma_w / math.sqrt(schedule.info)
-    u = np.maximum(abs(u_hat), schedule.u_floor)
+    u = np.maximum(abs(u_hat), U_FLOOR)
     return np.power(4.0 * u * u / schedule.info**2, 1.0 / 3.0)
 
 

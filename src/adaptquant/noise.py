@@ -101,7 +101,9 @@ class NoiseModel:
             if self.family is Family.GG:
                 out = -b * np.sign(z) * np.abs(z) ** (b - 1.0)
             else:
-                out = -(b + 1.0) * z / (b + z * z)
+                den = b + z * z  # inf where z*z overflows: the score is -(b+1)/z
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    out = np.where(np.isinf(den), -(b + 1.0) / z, -(b + 1.0) * z / den)
         out = out / self.delta
         return float(out) if np.isscalar(x) else out
 

@@ -1,10 +1,11 @@
 """Symmetric adjustable quantizer and its information-optimal design.
 
-The quantizer maps (y - offset) / step onto a signed integer symbol; the
-static threshold grid is symmetric with no zero symbol.  A design for a
-given noise model consists of the per-interval probabilities, the density
-drops across interval edges, the optimal output levels (drop/probability
-ratios) and the Fisher information carried by one quantized observation.
+The quantizer maps y - offset onto a signed integer symbol, its cell among
+the edges tau * step; the static threshold grid is symmetric with no zero
+symbol.  A design for a given noise model consists of the per-interval
+probabilities, the density drops across interval edges, the optimal output
+levels (drop/probability ratios) and the Fisher information carried by one
+quantized observation.
 """
 
 from __future__ import annotations
@@ -95,12 +96,14 @@ class QuantizerDesign:
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     """Quantize one observation to a signed symbol in {-N/2..-1, +1..+N/2}.
 
-    The tie y == offset maps to +1 (a probability-zero event under a
-    continuous noise density) so output is deterministic and never 0.
+    The cell edges are ``spec.finite_tau * step``, i.e. ``design.thresholds``
+    as ``estimator.direction`` reads them.  The tie y == offset maps to +1
+    (a probability-zero event under a continuous noise density) so output
+    is deterministic and never 0.
     """
-    z = abs(y - offset) / step
-    mag = int(np.searchsorted(spec.finite_tau, z, side="right")) + 1
-    return mag if y >= offset else -mag
+    diff = y - offset
+    mag = int(np.searchsorted(spec.finite_tau * step, abs(diff), side="right")) + 1
+    return mag if diff >= 0.0 else -mag
 
 
 def interval_stats(model: NoiseModel, thresholds):

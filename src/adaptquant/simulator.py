@@ -108,7 +108,6 @@ class ExperimentConfig:
     initial_offset: float = 0.0
     drift_gain: float = 1e-5
     drift_initial: float | None = 0.0
-    u_floor: float = 1e-8
 
     def __post_init__(self):
         if self.replications < 1:
@@ -117,9 +116,9 @@ class ExperimentConfig:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}"
             )
-        if not (0.0 < self.drift_gain < math.inf and 0.0 < self.u_floor < math.inf):
-            raise ValueError("drift_gain and u_floor must be positive and finite, "
-                             f"got {self.drift_gain}, {self.u_floor}")
+        if not 0.0 < self.drift_gain < math.inf:
+            raise ValueError(
+                f"drift_gain must be positive and finite, got {self.drift_gain}")
         starts = (self.initial_offset, self.drift_initial or 0.0)
         if not all(map(math.isfinite, starts)):
             raise ValueError(f"initial_offset, drift_initial must be finite: {starts}")
@@ -174,8 +173,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     block = min(config.horizon, max(1, BLOCK_ELEMENTS // n_rep))
 
     info = noise.fisher_continuous() if design is None else design.info
-    schedule = GainSchedule(signal.kind, info, signal.sigma_w,
-                            config.drift_gain, config.u_floor)
+    schedule = GainSchedule(signal.kind, info, signal.sigma_w, config.drift_gain)
     u_hat = np.full(n_rep, signal.u if config.drift_initial is None
                     else config.drift_initial)
 
@@ -276,8 +274,9 @@ def _continuous_info(noise: NoiseModel):
 
 
 def _finalize(config: ExperimentConfig, info: float, mse, diverged,
-              quantized: bool, t0: float) -> ExperimentResult:
+              t0: float) -> ExperimentResult:
     signal, kind = config.signal, config.signal.kind
+    quantized = config.quantizer is not None
     ic = _continuous_info(config.noise)
     theory, baseline = [
         analysis.PerformancePrediction(i).mse_curve(
@@ -344,7 +343,7 @@ def run_experiment(config: ExperimentConfig, *,
     else:
         _check_geometry(design, config)
     mse, diverged = _aggregate(config, design)
-    return _finalize(config, design.info, mse, diverged, True, t0)
+    return _finalize(config, design.info, mse, diverged, t0)
 
 
 def _check_geometry(design: QuantizerDesign, config: ExperimentConfig) -> None:
@@ -368,7 +367,7 @@ def run_continuous_reference(config: ExperimentConfig) -> ExperimentResult:
     if config.noise.family.value == "gg" and config.noise.beta <= 1.0:
         raise ValueError("continuous reference requires a differentiable density")
     mse, diverged = _aggregate(config, None)
-    return _finalize(config, info, mse, diverged, False, t0)
+    return _finalize(config, info, mse, diverged, t0)
 
 
 # ---- persistence -------------------------------------------------------

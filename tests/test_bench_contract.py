@@ -1,0 +1,43 @@
+"""The names the benchmark under bench/ looks up in the package.
+
+``bench/tracing.py`` wraps package functions by module and attribute name,
+and ``bench/workloads.py`` imports names at import time and writes the
+experiment files its ``simulate`` workloads run.  Loading both here makes
+deleting or renaming one of those names, or an INI key the workloads set,
+fail in this suite, not only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from adaptquant.cli import load_experiment_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    targets = _load("tracing").targets()
+    assert targets
+    for span, owner, attr, _ in targets:
+        assert callable(getattr(owner, attr, None)), span
+
+
+def test_workload_configs_load(tmp_path):
+    workloads = _load("workloads")
+    simulated = [w for w in map(workloads.make, workloads.NAMES) if hasattr(w, "template")]
+    assert simulated
+    for work in simulated:
+        path = tmp_path / f"{work.name}.cfg"
+        path.write_text(work.template.format(replications=work.replications,
+                                             horizon=work.horizon, burn_in=work.burn_in))
+        config = load_experiment_config(path)
+        assert (config.replications, config.horizon) == (work.replications, work.horizon)

@@ -10,7 +10,14 @@ import pytest
 
 from adaptquant import cli
 from adaptquant.cli import load_experiment_config, main
-from adaptquant.simulator import run_experiment
+from adaptquant.noise import Family, NoiseModel
+from adaptquant.quantizer import QuantizerSpec, optimize_cdelta
+from adaptquant.simulator import (
+    ExperimentConfig,
+    SignalKind,
+    SignalModel,
+    run_experiment,
+)
 
 
 def run_cli(args):
@@ -96,15 +103,14 @@ def test_load_experiment_config_quantized(tmp_path):
         seed = 42
         initial_offset = 10
         """)
-    config, mode = load_experiment_config(cfg_path)
-    assert mode == "quantized"
+    config = load_experiment_config(cfg_path)
     assert config.quantizer.n_intervals == 4
     assert config.quantizer.c_delta == pytest.approx(0.69)
     assert config.replications == 100
     assert config.seed == 42
     assert config.initial_offset == 10.0
     # seed override wins
-    config2, _ = load_experiment_config(cfg_path, seed_override=7)
+    config2 = load_experiment_config(cfg_path, seed_override=7)
     assert config2.seed == 7
 
 
@@ -130,8 +136,7 @@ def test_load_experiment_config_continuous_and_drift(tmp_path):
         gain = 1e-5
         initial = true
         """)
-    config, mode = load_experiment_config(cfg_path)
-    assert mode == "continuous"
+    config = load_experiment_config(cfg_path)
     assert config.quantizer is None
     assert config.drift_gain == 1e-5
     assert config.drift_initial is None  # oracle warm start
@@ -160,6 +165,48 @@ def test_load_experiment_config_rejects_bad_values(tmp_path, section, key, value
 def test_load_experiment_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_experiment_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize("extra", ["", "[run]\n"], ids=["no_run", "empty_run"])
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path, extra):
+    cfg_path = tmp_path / "minimal.cfg"
+    cfg_path.write_text("[signal]\nkind = constant\n[noise]\nfamily = gg\n" + extra)
+    noise = NoiseModel(Family.GG, 2.0)
+    c_star, _ = optimize_cdelta(noise, 4)
+    assert load_experiment_config(cfg_path) == ExperimentConfig(
+        SignalModel(SignalKind.CONSTANT), noise, QuantizerSpec.uniform(4, c_star))
+
+
+def test_drift_file_without_drift_estimator_takes_the_config_default(tmp_path):
+    cfg_path = write_config(tmp_path / "drift.cfg", """\
+        [signal]
+        kind = wiener_drift
+        sigma_w = 1e-4
+        u = 1e-4
+
+        [noise]
+        family = gg
+
+        [quantizer]
+        cdelta = 0.69
+        """)
+    config = load_experiment_config(cfg_path)
+    assert config.drift_gain == ExperimentConfig.drift_gain
+    assert config.drift_initial == ExperimentConfig.drift_initial
+
+
+@pytest.mark.parametrize("body, where", [
+    ("[noise]\nfamily = gg\n", "missing section [signal]"),
+    ("[signal]\nkind = constant\n", "missing section [noise]"),
+    ("[signal]\n[noise]\n[quantizer]\nmode = analog\n", "unknown quantizer mode 'analog'"),
+    ("[signal]\n[noise]\nbeta = inf\n", "beta must be positive and finite"),
+    ("[signal]\n[noise]\n[run]\nreplications = many\n", "'many'"),
+])
+def test_incomplete_or_invalid_files_rejected(tmp_path, body, where):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(body)
+    with pytest.raises(ValueError, match=re.escape(where)):
+        load_experiment_config(cfg_path)
 
 
 def test_simulate_command(tmp_path, capsys):
@@ -273,8 +320,8 @@ def test_unknown_config_entries_rejected(tmp_path, body, where):
 @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")),
                          ids=lambda p: p.stem)
 def test_example_configs_load(path):
-    config, mode = load_experiment_config(path)
-    assert mode == "quantized" and config.quantizer is not None
+    config = load_experiment_config(path)
+    assert config.quantizer is not None
 
 
 def test_readme_config_block_loads(tmp_path):
@@ -282,8 +329,8 @@ def test_readme_config_block_loads(tmp_path):
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
     cfg_path = tmp_path / "readme.cfg"
     cfg_path.write_text(block)
-    config, mode = load_experiment_config(cfg_path)
-    assert mode == "quantized"
+    config = load_experiment_config(cfg_path)
+    assert config.quantizer is not None
     assert config.signal.kind.value == "wiener_drift"
 
 

@@ -182,6 +182,28 @@ def test_far_tail_values_raise_no_overflow_warning():
     assert abs(st(3.0).score(x)) <= 1e-199
 
 
+@pytest.mark.parametrize("x", [1e155, -1e155, 1e200, -1e200])
+def test_student_t_score_beyond_the_square_overflow(x):
+    """z*z overflows for |z| above about 1.34e154; the score there is
+    -(beta+1)/z, not a signed zero."""
+    m = st(3.0)
+    assert m.score(x) == -4.0 / x
+    assert m.score(np.array([x, -x])).tolist() == [-4.0 / x, 4.0 / x]
+
+
+def test_student_t_score_keeps_its_bits_below_the_overflow():
+    """Up to |z| = 1e150 the score is -(beta+1)*z/(beta+z*z), bit for bit."""
+    z = np.concatenate([[0.0], np.logspace(-300, 150, 2001)])
+    z = np.concatenate([z, -z])
+    for beta in (1.0, 2.5, 3.0):
+        for delta in (0.5, 1.0, 3.0):
+            m, x = st(beta, delta), z * delta
+            zn = x / delta
+            want = -(beta + 1.0) * zn / (beta + zn * zn) / delta
+            np.testing.assert_array_equal(m.score(x), want)
+            assert [m.score(float(v)) for v in x[::37]] == want[::37].tolist()
+
+
 def test_score_rejected_for_nondifferentiable_gg():
     with pytest.raises(ValueError):
         gg(1.0).score(0.5)

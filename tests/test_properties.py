@@ -11,7 +11,7 @@ from scipy import special as sps
 
 from adaptquant.estimator import direction
 from adaptquant.noise import Family, NoiseModel
-from adaptquant.quantizer import mean_field
+from adaptquant.quantizer import mean_field, quantize
 from adaptquant.special import (
     incomplete_beta_regularized,
     regularized_gamma_p,
@@ -140,3 +140,18 @@ def test_direction_is_odd(cached_design, model, nbits, ratios):
     assert direction(0.0, edges, levels) == levels[0]
     assert direction(np.zeros(2), edges, levels).tolist() == [levels[0]] * 2
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(models, hs.integers(2, 5), hs.one_of(hs.just(0.0), hs.floats(-1e3, 1e3)))
+def test_quantize_cell_is_direction_cell(cached_design, model, nbits, offset):
+    """At every cell edge and its float neighbours, the symbol of
+    ``quantize`` names the level that ``direction`` applies."""
+    _, spec, design = cached_design(model.family, model.beta, nbits, model.delta)
+    edges, levels = design.thresholds, design.levels
+    for t in edges:
+        for mag in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)):
+            for y in (offset + mag, offset - mag):
+                sym = quantize(y, offset, spec, design.step)
+                assert np.sign(sym) * levels[abs(sym) - 1] == direction(
+                    y - offset, edges, levels)

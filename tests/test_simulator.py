@@ -88,8 +88,6 @@ def test_config_validation():
         dict(horizon=10, burn_in=10),
         dict(drift_gain=-1.0),
         dict(drift_gain=0.0),
-        dict(u_floor=0.0),
-        dict(drift_gain=-1.0, u_floor=0.0),
         dict(initial_offset=math.nan),
         dict(initial_offset=math.inf),
         dict(drift_initial=math.nan),
@@ -314,7 +312,7 @@ def _scalar_errors(cfg, info, step):
     """Squared errors of the scalar API fed replication 0 one step at a time."""
     sig = cfg.signal
     path, ys = _replication_zero(cfg)
-    schedule = GainSchedule(sig.kind, info, sig.sigma_w, cfg.drift_gain, cfg.u_floor)
+    schedule = GainSchedule(sig.kind, info, sig.sigma_w, cfg.drift_gain)
     state = EstimatorState(sig.x0 + cfg.initial_offset,
                            u_hat=sig.u if cfg.drift_initial is None
                            else cfg.drift_initial)
