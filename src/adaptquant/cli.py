@@ -17,15 +17,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, analysis, simulator
+from . import __version__, analysis
 from .noise import STANDARD_SHAPES, Family, NoiseModel
 from .quantizer import (
     DEFAULT_CDELTA_GRID,
     QuantizerSpec,
-    build_design,
     design_uniform,
     optimize_cdelta,
     save_design,
@@ -61,10 +59,10 @@ def _write_manifest(out_dir: Path, name: str, entries: dict) -> None:
 
 
 def cmd_design(args) -> int:
-    model = NoiseModel(Family(args.noise), args.beta, args.delta)
     n_intervals = 2**args.nbits
     grid = _grid_from_args(args)
     try:
+        model = NoiseModel(Family(args.noise), args.beta, args.delta)
         ic = model.fisher_continuous()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -174,7 +172,12 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
         for key in parser[section]:
             if key not in schema:
                 raise ValueError(f"{path}: unknown key {key!r} in section [{section}]")
-        sections[section] = {key: schema[key](raw) for key, raw in parser.items(section)}
+        sections[section] = values = {}
+        for key, raw in parser.items(section):
+            try:
+                values[key] = schema[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key} = {raw!r}: {exc}") from exc
     for name in ("signal", "noise"):
         if name not in sections:
             raise ValueError(f"{path}: missing section [{name}]")
@@ -225,104 +228,76 @@ def cmd_simulate(args) -> int:
 # ---- figures ------------------------------------------------------------
 
 
-def _figure_config(signal, noise, nbits, args, burn_in, horizon, reps):
-    cdelta, _ = optimize_cdelta(noise, 2**nbits)
-    return ExperimentConfig(
-        signal=signal, noise=noise,
-        quantizer=QuantizerSpec.uniform(2**nbits, cdelta),
-        replications=reps, horizon=horizon, burn_in=burn_in,
-        seed=args.seed, drift_initial=None,
-    )
+#: the tracking figures of ``figures``, one row of simulated and theory loss
+#: per noise, signal and bit count: file stem, comment line, descriptive
+#: columns and the format of their cells, noises and signal models
+TRACKING_FIGURES = (
+    ("fig_wiener", "simulated vs theoretical loss, random-walk parameter",
+     ("sigma_w",), ".12g", SEVEN_NOISES,
+     [SignalModel(SignalKind.WIENER, sigma_w=0.001)]),
+    ("fig_wiener_sigma", "simulated loss at two random-walk speeds",
+     ("sigma_w",), ".12g", [("gg", 2.0), ("st", 1.0)],
+     [SignalModel(SignalKind.WIENER, sigma_w=s) for s in (0.1, 0.001)]),
+    ("fig_drift", "simulated vs theoretical loss, drifting random walk",
+     ("u", "sigma_w", "drift_gain"), ".0e", [("gg", 2.0), ("st", 1.0)],
+     [SignalModel(SignalKind.WIENER_DRIFT, sigma_w=1e-4, u=1e-4)]),
+)
 
 
 def cmd_figures(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    nb_all = [1, 2, 3, 4, 5]
     nb_sim = [2, 3, 4, 5]
-
-    # loss table over the seven standard noises
-    (out_dir / "fig_loss_table.csv").write_text(
-        "# theoretical quantization losses\n"
-        + "\n".join(_loss_rows(SEVEN_NOISES, nb_all)) + "\n")
-
-    reps = args.replications
-    sample_every = max(1, args.horizon // 200)
     results = {}  # by config: fig_wiener_sigma repeats the sigma_w = 0.001 runs
 
-    def run(cfg):
+    def run(signal, noise, nbits, **settings):
+        """The c_delta-searched quantized run, the drift estimate started at
+        the true drift."""
+        cdelta, _ = optimize_cdelta(noise, 2**nbits)
+        cfg = ExperimentConfig(signal, noise, QuantizerSpec.uniform(2**nbits, cdelta),
+                               replications=args.replications, seed=args.seed,
+                               drift_initial=None, **settings)
         if cfg not in results:
             results[cfg] = run_experiment(cfg)
         return results[cfg]
 
-    # constant-case convergence curves
+    def write(name, comment, rows):
+        (out_dir / f"{name}.csv").write_text(f"# {comment}\n" + "\n".join(rows) + "\n")
+
+    write("fig_loss_table", "theoretical quantization losses",
+          _loss_rows(SEVEN_NOISES, [1, 2, 3, 4, 5]))
+
+    # constant-case convergence curves, sampled at about 200 steps
+    sample_every = max(1, args.horizon // 200)
     rows = ["family,beta,nbits,k,loss_sim_db,loss_theory_db"]
     for fam, beta in SEVEN_NOISES:
         noise = NoiseModel(Family(fam), beta)
         for nb in nb_sim:
-            cfg = _figure_config(SignalModel(SignalKind.CONSTANT), noise, nb,
-                                 args, 0, args.horizon, reps)
-            cfg = replace(cfg, initial_offset=10.0)
-            res = run(cfg)
+            res = run(SignalModel(SignalKind.CONSTANT), noise, nb,
+                      horizon=args.horizon, initial_offset=10.0)
             curve = res.loss_curve_db()
             for k in range(sample_every, args.horizon + 1, sample_every):
                 rows.append(f"{fam},{_fmt(beta)},{nb},{k},"
                             f"{_fmt(curve[k - 1])},{_fmt(res.theory_loss_db)}")
-    (out_dir / "fig_constant.csv").write_text(
-        "# simulated vs theoretical loss, constant parameter\n"
-        + "\n".join(rows) + "\n")
+    write("fig_constant", "simulated vs theoretical loss, constant parameter", rows)
 
-    # wiener tracking losses, small increments
-    horizon_w = max(args.horizon, 4000)
-    burn_w = horizon_w // 4
-    rows = ["family,beta,nbits,sigma_w,loss_sim_db,loss_theory_db"]
-    for fam, beta in SEVEN_NOISES:
-        noise = NoiseModel(Family(fam), beta)
-        for nb in nb_sim:
-            cfg = _figure_config(
-                SignalModel(SignalKind.WIENER, sigma_w=0.001), noise, nb,
-                args, burn_w, horizon_w, reps)
-            res = run(cfg)
-            rows.append(f"{fam},{_fmt(beta)},{nb},0.001,"
-                        f"{_fmt(res.simulated_loss_db)},{_fmt(res.theory_loss_db)}")
-    (out_dir / "fig_wiener.csv").write_text(
-        "# simulated vs theoretical loss, random-walk parameter\n"
-        + "\n".join(rows) + "\n")
-
-    # wiener: fast vs slow parameter motion (dithering comparison)
-    rows = ["family,beta,nbits,sigma_w,loss_sim_db,loss_theory_db"]
-    for fam, beta in [("gg", 2.0), ("st", 1.0)]:
-        noise = NoiseModel(Family(fam), beta)
-        for sigma_w in (0.1, 0.001):
-            for nb in nb_sim:
-                cfg = _figure_config(
-                    SignalModel(SignalKind.WIENER, sigma_w=sigma_w), noise, nb,
-                    args, burn_w, horizon_w, reps)
-                res = run(cfg)
-                rows.append(f"{fam},{_fmt(beta)},{nb},{_fmt(sigma_w)},"
-                            f"{_fmt(res.simulated_loss_db)},"
-                            f"{_fmt(res.theory_loss_db)}")
-    (out_dir / "fig_wiener_sigma.csv").write_text(
-        "# simulated loss at two random-walk speeds\n" + "\n".join(rows) + "\n")
-
-    # drifting random walk, oracle-initialized drift estimator
-    rows = ["family,beta,nbits,u,sigma_w,drift_gain,loss_sim_db,loss_theory_db"]
-    for fam, beta in [("gg", 2.0), ("st", 1.0)]:
-        noise = NoiseModel(Family(fam), beta)
-        for nb in nb_sim:
-            cfg = _figure_config(
-                SignalModel(SignalKind.WIENER_DRIFT, sigma_w=1e-4, u=1e-4),
-                noise, nb, args, burn_w, horizon_w, reps)
-            res = run(cfg)
-            rows.append(f"{fam},{_fmt(beta)},{nb},1e-04,1e-04,1e-05,"
-                        f"{_fmt(res.simulated_loss_db)},{_fmt(res.theory_loss_db)}")
-    (out_dir / "fig_drift.csv").write_text(
-        "# simulated vs theoretical loss, drifting random walk\n"
-        + "\n".join(rows) + "\n")
+    horizon = max(args.horizon, 4000)
+    for name, comment, columns, cell_format, noises, signals in TRACKING_FIGURES:
+        rows = [",".join(["family,beta,nbits", *columns, "loss_sim_db,loss_theory_db"])]
+        for fam, beta in noises:
+            noise = NoiseModel(Family(fam), beta)
+            for signal in signals:
+                for nb in nb_sim:
+                    res = run(signal, noise, nb, horizon=horizon, burn_in=horizon // 4)
+                    rows.append(",".join(
+                        [fam, _fmt(beta), str(nb)]
+                        + [format(res.metadata[c], cell_format) for c in columns]
+                        + [_fmt(res.simulated_loss_db), _fmt(res.theory_loss_db)]))
+        write(name, comment, rows)
 
     _write_manifest(out_dir, "figures", {
-        "subcommand": "figures", "replications": reps, "horizon": args.horizon,
-        "seed": args.seed,
+        "subcommand": "figures", "replications": args.replications,
+        "horizon": args.horizon, "seed": args.seed,
     })
     print(f"figure CSVs written to {out_dir}")
     return 0

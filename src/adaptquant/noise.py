@@ -18,6 +18,11 @@ import numpy as np
 from .special import incomplete_beta_regularized, regularized_gamma_q
 
 
+#: the smallest GG shape accepted: the gamma kernels of ``special`` hold
+#: 1e-12 relative accuracy for shapes 1/beta up to 100
+MIN_GG_BETA = 0.01
+
+
 class Family(str, Enum):
     GG = "gg"
     ST = "st"
@@ -35,6 +40,9 @@ class NoiseModel:
         object.__setattr__(self, "family", Family(self.family))
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if self.family is Family.GG and self.beta < MIN_GG_BETA:
+            raise ValueError(f"GG beta must be >= MIN_GG_BETA = {MIN_GG_BETA}, "
+                             f"got {self.beta}")
         if not (self.delta > 0.0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
 

@@ -128,6 +128,8 @@ class ExperimentConfig:
 class ExperimentResult:
     mse_curve: np.ndarray
     theory_mse_curve: np.ndarray
+    #: the continuous-observation MSE curve the losses are measured against
+    baseline_mse_curve: np.ndarray
     asymptotic_mse: float
     simulated_loss_db: float
     theory_loss_db: float
@@ -137,11 +139,8 @@ class ExperimentResult:
 
     def loss_curve_db(self) -> np.ndarray:
         """Per-step simulated loss relative to the continuous-case reference."""
-        md = self.metadata
-        baseline = analysis.PerformancePrediction(md["ic"]).mse_curve(
-            md["signal_kind"], len(self.mse_curve), md["sigma_w"], md["u"])
         with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.mse_curve / baseline)
+            return 10.0 * np.log10(self.mse_curve / self.baseline_mse_curve)
 
 
 class DivergenceError(RuntimeError):
@@ -317,6 +316,7 @@ def _finalize(config: ExperimentConfig, info: float, mse, diverged,
     return ExperimentResult(
         mse_curve=mse,
         theory_mse_curve=theory,
+        baseline_mse_curve=baseline,
         asymptotic_mse=asym,
         simulated_loss_db=sim_loss,
         theory_loss_db=theory_loss,

@@ -3,13 +3,15 @@
 ``bench/tracing.py`` wraps package functions by module and attribute name,
 and ``bench/workloads.py`` imports names at import time and writes the
 experiment files its ``simulate`` workloads run.  Loading both here makes
-deleting or renaming one of those names, or an INI key the workloads set,
-fail in this suite, not only in a benchmark run.
+deleting or renaming one of those names, an INI key the workloads set, or a
+command-line flag they pass fail in this suite, not only in a benchmark run.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 from adaptquant.cli import load_experiment_config
 
@@ -41,3 +43,20 @@ def test_workload_configs_load(tmp_path):
                                              horizon=work.horizon, burn_in=work.burn_in))
         config = load_experiment_config(path)
         assert (config.replications, config.horizon) == (work.replications, work.horizon)
+
+
+@pytest.mark.parametrize("factory, args", [
+    ("make", ("design_table",)),
+    ("mc_constant", (8, 16)),
+    ("mc_drift_long", (8, 32, 4)),
+], ids=["design_table", "mc_constant", "mc_drift_long"])
+def test_one_op_of_each_workload_runs(tmp_path, factory, args):
+    # exit code and replays only: the loss band of ``check`` is set for the
+    # benchmark's replication counts, not for 8
+    workloads = _load("workloads")
+    work = getattr(workloads, factory)(*args)
+    work.setup(0, tmp_path)
+    op = work.next_pass()[0]
+    op.output = work.run_op(op, workloads.reset_dir(tmp_path / "out"))
+    assert op.output[0] == 0
+    assert all(error is None for _, error in work.run_checks([op]))

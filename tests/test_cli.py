@@ -50,6 +50,13 @@ def test_design_command_rejects_heavy_gg(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_design_command_rejects_gg_beta_below_the_floor(tmp_path, capsys):
+    rc = main(["design", "--noise", "gg", "--beta", "0.005", "--nbits", "1",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "MIN_GG_BETA" in capsys.readouterr().err
+
+
 def test_design_roundtrips_through_loader(tmp_path):
     from adaptquant.quantizer import load_design
 
@@ -201,6 +208,8 @@ def test_drift_file_without_drift_estimator_takes_the_config_default(tmp_path):
     ("[signal]\n[noise]\n[quantizer]\nmode = analog\n", "unknown quantizer mode 'analog'"),
     ("[signal]\n[noise]\nbeta = inf\n", "beta must be positive and finite"),
     ("[signal]\n[noise]\n[run]\nreplications = many\n", "'many'"),
+    ("[signal]\n[noise]\nbeta = two\n", "[noise] beta"),
+    ("[signal]\nkind = sine\n[noise]\n", "[signal] kind"),
 ])
 def test_incomplete_or_invalid_files_rejected(tmp_path, body, where):
     cfg_path = tmp_path / "bad.cfg"
@@ -282,12 +291,39 @@ def test_figures_command_smoke(tmp_path, monkeypatch):
     # runs of fig_wiener_sigma.csv reuse those of fig_wiener.csv
     assert len(configs) == 72
     assert len(set(configs)) == 72
-    expected = ["fig_loss_table.csv", "fig_constant.csv", "fig_wiener.csv",
-                "fig_wiener_sigma.csv", "fig_drift.csv"]
-    for name in expected:
-        path = tmp_path / name
-        assert path.exists(), name
-        assert len(path.read_text().strip().splitlines()) > 1
+    tracking = "family,beta,nbits,sigma_w,loss_sim_db,loss_theory_db"
+    expected = {  # file -> (comment, column header, row count)
+        "fig_loss_table": ("theoretical quantization losses",
+                           "family,beta,nbits,c_delta,iq,lq_db,lq_wiener_db,lq_drift_db",
+                           7 * 5),
+        "fig_constant": ("simulated vs theoretical loss, constant parameter",
+                         "family,beta,nbits,k,loss_sim_db,loss_theory_db", 28 * 64),
+        "fig_wiener": ("simulated vs theoretical loss, random-walk parameter",
+                       tracking, 28),
+        "fig_wiener_sigma": ("simulated loss at two random-walk speeds", tracking, 16),
+        "fig_drift": ("simulated vs theoretical loss, drifting random walk",
+                      "family,beta,nbits,u,sigma_w,drift_gain,loss_sim_db,loss_theory_db",
+                      8),
+    }
+    tables = {}
+    for name, (comment, header, n_rows) in expected.items():
+        comment_line, header_line, *rows = (tmp_path / f"{name}.csv").read_text().splitlines()
+        assert (comment_line, header_line) == (f"# {comment}", header), name
+        assert len(rows) == n_rows, name
+        tables[name] = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert {row["sigma_w"] for row in tables["fig_wiener"]} == {"0.001"}
+    assert {(row["u"], row["sigma_w"], row["drift_gain"])
+            for row in tables["fig_drift"]} == {("1e-04", "1e-04", "1e-05")}
+
+    def losses(rows):
+        return {(r["family"], r["beta"], r["nbits"]): (r["loss_sim_db"], r["loss_theory_db"])
+                for r in rows}
+
+    wiener = losses(tables["fig_wiener"])
+    slow = losses(r for r in tables["fig_wiener_sigma"] if r["sigma_w"] == "0.001")
+    assert sorted(slow) == [(fam, beta, str(nb)) for fam, beta in (("gg", "2"), ("st", "1"))
+                            for nb in range(2, 6)]
+    assert all(wiener[key] == cells for key, cells in slow.items())
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaincc
 from scipy.stats import gennorm, kstest
 
-from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
+from adaptquant.noise import MIN_GG_BETA, STANDARD_SHAPES, Family, NoiseModel, gg, st
 
 ALL_SHAPES = list(STANDARD_SHAPES) + [(Family.GG, 1.0)]  # plus Laplace
 DELTAS = [0.5, 1.0, 2.0]
@@ -278,5 +278,8 @@ def test_symmetry_of_samples(rng):
 def test_validation():
     with pytest.raises(ValueError):
         NoiseModel(Family.GG, -1.0)
+    with pytest.raises(ValueError, match="MIN_GG_BETA = 0.01"):
+        gg(0.0099)
+    assert gg(MIN_GG_BETA).beta == 0.01
     with pytest.raises(ValueError):
         NoiseModel(Family.GG, 2.0, 0.0)
