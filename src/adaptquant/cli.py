@@ -64,10 +64,10 @@ def cmd_design(args) -> int:
     try:
         model = NoiseModel(Family(args.noise), args.beta, args.delta)
         ic = model.fisher_continuous()
+        spec, design = design_uniform(model, n_intervals, grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    spec, design = design_uniform(model, n_intervals, grid)
     lq = analysis.loss_constant_db(design.info, ic)
     print(f"noise       : {model.family.value} beta={model.beta} delta={model.delta}")
     print(f"n_intervals : {n_intervals} (nbits={args.nbits})")
@@ -114,13 +114,17 @@ def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
 
 
 def cmd_loss_table(args) -> int:
-    noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
     grid = _grid_from_args(args)
+    try:
+        noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
+        rows = _loss_rows(noises, args.nbits, grid, args.delta)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "loss_table.csv"
-    lines = (["# adaptquant loss table", f"# grid = {grid}"]
-             + _loss_rows(noises, args.nbits, grid, args.delta))
+    lines = ["# adaptquant loss table", f"# grid = {grid}"] + rows
     path.write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, "loss_table", {
         "subcommand": "loss-table", "noises": noises, "nbits": args.nbits,
@@ -359,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figures", help="emit the standard figure CSV set")
     p.add_argument("--out", default="out/figures")
-    p.add_argument("--replications", type=int, default=2000)
-    p.add_argument("--horizon", type=int, default=2000)
+    p.add_argument("--replications", type=_positive_int, default=2000)
+    p.add_argument("--horizon", type=_positive_int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_figures)
 

@@ -31,7 +31,7 @@ MIN_INTERVAL_MASS = 1e-300
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Static quantizer geometry: even interval count and normalized thresholds.
+    """Static quantizer geometry: interval count 2**nbits and normalized thresholds.
 
     ``tau`` holds the positive-side thresholds tau_1 < ... < tau_{N/2},
     with tau_{N/2} = +inf and tau_0 = 0 implicit; the negative side is the
@@ -44,8 +44,8 @@ class QuantizerSpec:
 
     def __post_init__(self):
         n = self.n_intervals
-        if n < 2 or n % 2 != 0:
-            raise ValueError(f"n_intervals must be even and >= 2, got {n}")
+        if n < 2 or n & (n - 1):  # nbits names the quantizer
+            raise ValueError(f"n_intervals must be a power of two >= 2, got {n}")
         tau = tuple(float(t) for t in self.tau)
         object.__setattr__(self, "tau", tau)
         if len(tau) != n // 2:

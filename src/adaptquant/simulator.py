@@ -23,8 +23,8 @@ import numpy as np
 
 from . import analysis
 from .estimator import GainSchedule, SignalKind, advance, direction
-from .noise import NoiseModel
-from .quantizer import QuantizerDesign, QuantizerSpec, build_design
+from .noise import Family, NoiseModel
+from .quantizer import QuantizerSpec, build_design
 
 #: replications per vectorized chunk; fixed, because the floating-point sum
 #: of the chunk results depends on where the chunks split
@@ -37,7 +37,7 @@ BLOCK_ELEMENTS = 2**19
 #: replications per tile when per-replication draws are made time-major
 TILE = 32
 
-#: a replication whose estimate exceeds this many noise scales is aborted
+#: a replication whose estimate exceeds this many noise scales is dropped
 DIVERGENCE_FACTOR = 1e6
 
 
@@ -162,7 +162,8 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
 
     Works in time blocks on four fixed matrices of at most
     ``BLOCK_ELEMENTS`` floats, so memory does not depend on the horizon.
-    The sum over a diverged replication is kept: the caller reruns without it.
+    Divergence is checked at the end of each block.  A diverged
+    replication runs on and its sum is kept: the caller reruns without it.
     """
     signal, noise = config.signal, config.noise
     n_rep = len(reps)
@@ -204,12 +205,11 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
             d = (-noise.score(diff) if design is None
                  else direction(diff, design.thresholds, design.levels))
             x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
-            # written so that a NaN estimate counts as diverged
-            newly_dead = (~dead) & ~(np.abs(x_hat) <= limit)
-            if newly_dead.any():
-                dead |= newly_dead
-                x_hat = np.where(dead, paths[i], x_hat)
             x_hats[i] = x_hat
+        # max and min propagate NaN, so a NaN estimate counts as diverged;
+        # no temporary of the block's size
+        dead |= ~((x_hats[:steps].max(axis=0) <= limit)
+                  & (x_hats[:steps].min(axis=0) >= -limit))
         err2 = x_hats[:steps]
         err2 -= paths[:steps]
         err2 *= err2
@@ -235,7 +235,9 @@ def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     reps = np.arange(rep_lo, rep_hi)
     diverged = []
     while len(reps):
-        sumsq, dead = _replication_errors(config, design, reps)
+        # a diverged replication may overflow before its block ends
+        with np.errstate(over="ignore", invalid="ignore"):
+            sumsq, dead = _replication_errors(config, design, reps)
         if not dead.any():
             break
         diverged.extend(reps[dead].tolist())
@@ -326,45 +328,22 @@ def _finalize(config: ExperimentConfig, info: float, mse, diverged,
     )
 
 
-def run_experiment(config: ExperimentConfig, *,
-                   design: QuantizerDesign | None = None) -> ExperimentResult:
-    """Run the quantized-observation experiment described by ``config``.
-
-    ``design`` may be passed to reuse a precomputed design table; otherwise
-    it is built from the config's quantizer spec.  A passed design must have
-    that spec's geometry (level count, step and cell edges); its levels and
-    information are taken as given.
-    """
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Run the quantized-observation experiment described by ``config``,
+    on the design built from its quantizer spec."""
     if config.quantizer is None:
         raise ValueError("config has no quantizer spec; use run_continuous_reference")
     t0 = time.perf_counter()
-    if design is None:
-        design = build_design(config.noise, config.quantizer)
-    else:
-        _check_geometry(design, config)
+    design = build_design(config.noise, config.quantizer)
     mse, diverged = _aggregate(config, design)
     return _finalize(config, design.info, mse, diverged, t0)
-
-
-def _check_geometry(design: QuantizerDesign, config: ExperimentConfig) -> None:
-    spec = config.quantizer
-    step = spec.c_delta * config.noise.delta
-    if len(design.levels) != spec.n_intervals // 2:
-        raise ValueError(f"design has {len(design.levels)} levels, the config's "
-                         f"{spec.n_intervals}-cell quantizer needs {spec.n_intervals // 2}")
-    if design.step != step:
-        raise ValueError(f"design step {design.step!r} is not the config's "
-                         f"c_delta * delta = {step!r}")
-    if not np.array_equal(design.thresholds, spec.finite_tau * step):
-        raise ValueError(f"design thresholds {design.thresholds.tolist()} are not "
-                         f"the config's tau * step {(spec.finite_tau * step).tolist()}")
 
 
 def run_continuous_reference(config: ExperimentConfig) -> ExperimentResult:
     """Run the continuous-measurement reference algorithm."""
     t0 = time.perf_counter()
     info = config.noise.fisher_continuous()
-    if config.noise.family.value == "gg" and config.noise.beta <= 1.0:
+    if config.noise.family is Family.GG and config.noise.beta <= 1.0:
         raise ValueError("continuous reference requires a differentiable density")
     mse, diverged = _aggregate(config, None)
     return _finalize(config, info, mse, diverged, t0)

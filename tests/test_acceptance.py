@@ -175,14 +175,14 @@ def test_criterion_06_constant_monte_carlo():
         spec, design = design_uniform(m, 2 ** nbits)
         cfg = ExperimentConfig(sig, m, spec, replications=10_000,
                                horizon=2000, seed=20240801)
-        res = run_experiment(cfg, design=design)
+        res = run_experiment(cfg)
         normalized = res.mse_curve[-1] * 2000 * design.info
         ok &= abs(normalized - 1.0) <= 0.10
         # decreasing loss curve from a displaced start
         off = ExperimentConfig(sig, m, spec, replications=10_000,
                                horizon=2000, seed=20240801,
                                initial_offset=10.0)
-        curve = run_experiment(off, design=design).loss_curve_db()
+        curve = run_experiment(off).loss_curve_db()
         l_theory = res.theory_loss_db
         decreasing = (curve[-1] < curve[len(curve) // 2]
                       and abs(curve[-1] - l_theory)
@@ -203,7 +203,7 @@ def test_criterion_07_wiener_monte_carlo():
             cfg = ExperimentConfig(sig, m, spec, replications=2000,
                                    horizon=20_000, burn_in=1000,
                                    seed=20240802)
-            res = run_experiment(cfg, design=design)
+            res = run_experiment(cfg)
             predicted = sigma_w / math.sqrt(design.info)
             rel = res.asymptotic_mse / predicted - 1.0
             gap = res.simulated_loss_db - res.theory_loss_db
@@ -222,7 +222,7 @@ def test_criterion_08_dithering_at_large_sigma_w():
         sig = SignalModel(SignalKind.WIENER, sigma_w=sigma_w)
         cfg = ExperimentConfig(sig, m, spec, replications=2000,
                                horizon=5000, burn_in=1000, seed=20240803)
-        res = run_experiment(cfg, design=design)
+        res = run_experiment(cfg)
         sims.append(res.simulated_loss_db)
         theories.append(res.theory_loss_db)
     below = all(s < t for s, t in zip(sims, theories))
@@ -243,7 +243,7 @@ def test_criterion_09_drift_monte_carlo():
                                    horizon=20_000, burn_in=1000,
                                    seed=20240804, drift_gain=1e-5,
                                    drift_initial=None)  # start at true drift
-            res = run_experiment(cfg, design=design)
+            res = run_experiment(cfg)
             predicted = 3.0 * (u / (4.0 * design.info)) ** (2.0 / 3.0)
             rel = res.asymptotic_mse / predicted - 1.0
             offset = res.simulated_loss_db - res.theory_loss_db
@@ -292,7 +292,7 @@ def test_criterion_12_deterministic_csv(tmp_path):
                            burn_in=100, seed=20240805)
     blobs = []
     for tag in ("a", "b"):
-        res = run_experiment(cfg, design=design)
+        res = run_experiment(cfg)
         path = tmp_path / f"{tag}.csv"
         write_result_csv(res, path)
         blobs.append(path.read_bytes())

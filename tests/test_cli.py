@@ -57,6 +57,14 @@ def test_design_command_rejects_gg_beta_below_the_floor(tmp_path, capsys):
     assert "MIN_GG_BETA" in capsys.readouterr().err
 
 
+def test_design_command_rejects_a_bad_grid(tmp_path, capsys):
+    rc = main(["design", "--noise", "gg", "--beta", "2", "--nbits", "2",
+               "--grid-min", "0", "--out", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid c_delta grid")
+    assert not list(tmp_path.iterdir())
+
+
 def test_design_roundtrips_through_loader(tmp_path):
     from adaptquant.quantizer import load_design
 
@@ -82,6 +90,14 @@ def test_loss_table_command(tmp_path):
     # half and two-thirds loss columns
     assert float(row["lq_wiener_db"]) == pytest.approx(1.9612 / 2, abs=5e-5)
     assert float(row["lq_drift_db"]) == pytest.approx(2 * 1.9612 / 3, abs=5e-5)
+
+
+def test_loss_table_command_rejects_a_bad_grid(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["loss-table", "--grid-step", "-1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: invalid c_delta grid")
+    assert not out.exists()
 
 
 def write_config(path, body):
@@ -279,9 +295,9 @@ def test_simulate_seed_override_changes_output(tmp_path):
 def test_figures_command_smoke(tmp_path, monkeypatch):
     configs = []
 
-    def counting_run(config, **kwargs):
+    def counting_run(config):
         configs.append(config)
-        return run_experiment(config, **kwargs)
+        return run_experiment(config)
 
     monkeypatch.setattr(cli, "run_experiment", counting_run)
     rc = main(["figures", "--out", str(tmp_path), "--replications", "16",
@@ -388,4 +404,13 @@ def test_nbits_must_be_positive(tmp_path, capsys, argv):
     with pytest.raises(SystemExit):
         main(argv + ["--out", str(tmp_path)])
     assert "--nbits" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--replications", "--horizon"])
+def test_figures_counts_must_be_positive(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["figures", flag, "0", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

@@ -29,6 +29,9 @@ def test_spec_validation():
     QuantizerSpec(2, (math.inf,), 1.0)
     with pytest.raises(ValueError):
         QuantizerSpec(3, (math.inf,), 1.0)  # odd interval count
+    for n in (6, 12):  # log2 would label them 3 and 4 bits
+        with pytest.raises(ValueError, match="power of two"):
+            QuantizerSpec.uniform(n, 1.0)
     with pytest.raises(ValueError):
         QuantizerSpec(4, (2.0, 1.0), 1.0)  # not increasing
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,7 +115,7 @@ def test_constant_signal_matches_theory():
     spec, design = design_uniform(m, 4)
     cfg = make_config(noise=m, quantizer=spec, replications=3000,
                       horizon=800, initial_offset=0.0, seed=7)
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     k = np.arange(1, cfg.horizon + 1)
     np.testing.assert_allclose(res.theory_mse_curve, 1.0 / (k * design.info),
                                rtol=1e-12)
@@ -130,7 +131,7 @@ def test_wiener_signal_matches_theory():
     sig = SignalModel(SignalKind.WIENER, sigma_w=0.01)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=400,
                       horizon=4000, burn_in=1000, initial_offset=0.0, seed=11)
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     predicted = 0.01 / math.sqrt(design.info)
     np.testing.assert_allclose(res.theory_mse_curve, predicted)
     assert res.asymptotic_mse == pytest.approx(predicted, rel=0.05)
@@ -144,7 +145,7 @@ def test_drift_signal_matches_theory():
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=300,
                       horizon=4000, burn_in=1000, initial_offset=0.0,
                       seed=13, drift_initial=None)  # oracle warm start
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     predicted = 3.0 * (u / (4.0 * design.info)) ** (2.0 / 3.0)
     assert res.asymptotic_mse == pytest.approx(predicted, rel=0.2)
 
@@ -167,7 +168,7 @@ def test_quantized_never_beats_continuous_loss():
     spec, design = design_uniform(m, 2)
     cfg = make_config(noise=m, quantizer=spec, replications=2000,
                       horizon=600, initial_offset=0.0, seed=19)
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     # theory loss for 1-bit Gaussian-type noise is the classic 1.96 dB
     assert res.theory_loss_db == pytest.approx(1.9612, abs=5e-5)
     assert res.simulated_loss_db == pytest.approx(res.theory_loss_db, abs=0.35)
@@ -179,7 +180,7 @@ def test_loss_curve_db_shape_and_tail():
     # an initial offset gives an elevated loss curve that decays back
     cfg = make_config(noise=m, quantizer=spec, replications=400,
                       horizon=600, initial_offset=3.0, seed=23)
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     curve = res.loss_curve_db()
     assert curve.shape == res.mse_curve.shape
     assert curve[0] > res.theory_loss_db + 3.0
@@ -187,7 +188,7 @@ def test_loss_curve_db_shape_and_tail():
     # starting at the true value the tail sits near the theoretical loss
     cfg0 = make_config(noise=m, quantizer=spec, replications=1500,
                        horizon=600, initial_offset=0.0, seed=23)
-    res0 = run_experiment(cfg0, design=design)
+    res0 = run_experiment(cfg0)
     curve0 = res0.loss_curve_db()
     assert abs(curve0[-50:].mean() - res0.theory_loss_db) < 0.5
 
@@ -232,7 +233,12 @@ def test_write_summary_mentions_wall_time(tmp_path):
     assert "wall" in out.read_text().lower()
 
 
-def test_all_replications_diverging_raises():
+def use_design(monkeypatch, design):
+    """Make ``run_experiment`` run on ``design`` whatever its config's spec."""
+    monkeypatch.setattr(simulator, "build_design", lambda noise, spec: design)
+
+
+def test_all_replications_diverging_raises(monkeypatch):
     """A grossly mis-scaled gain drives every replication past the guard."""
     from adaptquant.quantizer import QuantizerDesign, interval_stats
     from adaptquant.simulator import DivergenceError
@@ -247,9 +253,10 @@ def test_all_replications_diverging_raises():
     sig = SignalModel(SignalKind.WIENER, sigma_w=1.0)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=20,
                       horizon=100, burn_in=10, seed=29)
+    use_design(monkeypatch, design)
     with pytest.raises(DivergenceError, match=re.escape(
             "all 20 replications diverged: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]...")):
-        run_experiment(cfg, design=design)
+        run_experiment(cfg)
 
 
 def _nan_level_case():
@@ -261,34 +268,51 @@ def _nan_level_case():
     return make_config(noise=m, quantizer=spec, initial_offset=0.0), one_nan
 
 
-def test_nan_level_counts_as_diverged():
+def test_nan_level_counts_as_diverged(monkeypatch):
     """A NaN estimate is caught by the divergence guard, not averaged in."""
     cfg, one_nan = _nan_level_case()
-    res = run_experiment(cfg, design=one_nan)
+    use_design(monkeypatch, one_nan)
+    res = run_experiment(cfg)
     assert 0 < res.diverged < cfg.replications
     assert np.all(np.isfinite(res.mse_curve))
     assert math.isfinite(res.simulated_loss_db)
-    all_nan = replace(one_nan, levels=np.array([np.nan, np.nan]))
+    use_design(monkeypatch, replace(one_nan, levels=np.array([np.nan, np.nan])))
     with pytest.raises(DivergenceError):
-        run_experiment(cfg, design=all_nan)
+        run_experiment(cfg)
 
 
-def test_design_must_match_config_geometry():
-    m = gg(2.0)
-    spec2, design2 = design_uniform(m, 4)
-    _, design3 = design_uniform(m, 8)
-    cfg = make_config(noise=m, quantizer=spec2, replications=10, horizon=20)
-    other_step = build_design(m, replace(spec2, c_delta=spec2.c_delta + 0.01))
-    for design, what in [
-        (design3, "levels"),                                  # 3-bit design, 2-bit spec
-        (other_step, "design step"),
-        (replace(design2, thresholds=design2.thresholds * 1.5), "design thresholds"),
-    ]:
-        with pytest.raises(ValueError, match=what):
-            run_experiment(cfg, design=design)
-    assert run_experiment(cfg, design=design2).metadata["nbits"] == 2
-    with pytest.raises(TypeError):  # design is keyword-only
-        run_experiment(cfg, design2)
+def test_overflowing_replications_diverge_without_a_warning(monkeypatch):
+    """An estimate that overflows to inf, then NaN, within a block is caught
+    at the block's end; the engine's errstate keeps numpy quiet meanwhile."""
+    cfg, one_nan = _nan_level_case()
+    use_design(monkeypatch, replace(one_nan, levels=np.array([one_nan.levels[0], 1e308])))
+    cfg = replace(cfg, signal=SignalModel(SignalKind.WIENER, sigma_w=10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="all 200 replications diverged"):
+            run_experiment(cfg)
+
+
+def test_run_experiment_builds_the_design_of_its_config(monkeypatch):
+    """The only design a run can see is the one built from its own spec."""
+    built = []
+    monkeypatch.setattr(simulator, "build_design",
+                        lambda noise, spec: built.append(spec) or build_design(noise, spec))
+    cfg = make_config(replications=10, horizon=20)
+    assert run_experiment(cfg).metadata["nbits"] == 2
+    assert built == [cfg.quantizer]
+    with pytest.raises(TypeError):
+        run_experiment(cfg, design=build_design(cfg.noise, cfg.quantizer))
+
+
+@pytest.mark.parametrize("beta, match", [
+    (1.0, "requires a differentiable density"),  # Laplace: finite I_c, no score
+    (0.5, "not finite"),                         # rejected by fisher_continuous
+])
+def test_continuous_reference_rejects_gg_without_a_score(beta, match):
+    cfg = make_config(noise=gg(beta), quantizer=None, replications=2, horizon=3)
+    with pytest.raises(ValueError, match=match):
+        run_continuous_reference(cfg)
 
 
 PARITY_SIGNALS = [
@@ -329,7 +353,7 @@ def _assert_quantized_parity(noise, nbits, signal, drift_initial, horizon, seed)
     cfg = make_config(signal=signal, noise=noise, quantizer=spec, replications=1,
                       horizon=horizon, seed=seed, drift_initial=drift_initial,
                       initial_offset=1.5)
-    res = run_experiment(cfg, design=design)
+    res = run_experiment(cfg)
     err2 = _scalar_errors(
         cfg, design.info,
         lambda state, y, schedule: step_quantized(state, y, design, spec, schedule))
