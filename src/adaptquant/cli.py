@@ -211,7 +211,11 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    config = load_experiment_config(args.config, args.seed)
+    try:
+        config = load_experiment_config(args.config, args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.config).stem
@@ -317,6 +321,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_ints(text: str) -> list[int]:
     """A comma list of positive ints, e.g. ``1,2,3``."""
     return [_positive_int(item) for item in text.split(",")]
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run an experiment from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted and ignored: the engine runs on one thread")
     p.add_argument("--out", default="out")
@@ -365,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out/figures")
     p.add_argument("--replications", type=_positive_int, default=2000)
     p.add_argument("--horizon", type=_positive_int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.set_defaults(func=cmd_figures)
 
     return parser

@@ -142,14 +142,17 @@ class NoiseModel:
             info_n = (b + 1.0) / (b + 3.0)
         return info_n / self.delta**2
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size=None, out=None):
         """Draw i.i.d. samples.
 
         All variates of a sample come from one numpy call that draws sample
         after sample, so draws split into pieces give the same values as
         drawn in one piece: the Monte Carlo engine draws in time blocks.
+        ``out``, a float64 array of shape ``size``, receives the samples and
+        is returned; the values are the same bits as without it.
 
-        GG, beta = 2: V = delta / sqrt(2) * Z with Z standard normal.
+        GG, beta = 2: V = delta / sqrt(2) * Z with Z standard normal, drawn
+        into ``out`` and scaled in place.
         GG, other beta: |V| = delta * G^(1/beta) with G ~ Gamma(1/beta),
         signed + when an Exp(1) draw E exceeds ln 2 (probability 1/2); one
         gamma call draws the (G, E) pairs.
@@ -157,14 +160,17 @@ class NoiseModel:
         """
         b = self.beta
         n = 1 if size is None else size
+        if out is None:
+            out = np.empty(n)
         if self.family is Family.ST:
-            out = self.delta * rng.standard_t(b, size=n)
+            np.multiply(self.delta, rng.standard_t(b, size=n), out=out)
         elif b == 2.0:
-            out = self.delta / math.sqrt(2.0) * rng.standard_normal(n)
+            rng.standard_normal(out=out)
+            out *= self.delta / math.sqrt(2.0)
         else:
             g = rng.gamma(np.array([1.0 / b, 1.0]), size=(n, 2))
             sign = np.where(g[:, 1] > math.log(2.0), 1.0, -1.0)
-            out = self.delta * sign * g[:, 0] ** (1.0 / b)
+            np.multiply(self.delta * sign, g[:, 0] ** (1.0 / b), out=out)
         return float(out[0]) if size is None else out
 
 

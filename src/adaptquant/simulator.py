@@ -3,9 +3,11 @@
 Replications are vectorized in chunks of ``CHUNK_SIZE``, run one after
 another.  Replication r of a run with seed s draws its path and its noise
 from two sub-streams of its own: the children 0 and 1 of
-``SeedSequence([s, r]).spawn(2)`` (a constant signal draws no path).  A
-chunk advances in time blocks: the paths, observations and estimates of a
-block are time-major (steps, replications) matrices of at most
+``SeedSequence([s, r]).spawn(2)`` (a constant signal draws no path).  The
+streams of a whole chunk are seeded in one pass by ``_seed_words``, a
+vectorized port of numpy's ``SeedSequence`` pinned to it bit for bit.  A
+chunk advances in time blocks: the paths, observations and estimates of
+a block are time-major (steps, replications) matrices of at most
 ``BLOCK_ELEMENTS`` floats, and only the per-step sum of squared errors is
 kept, so memory does not grow with the horizon.  numpy's draws give the
 same values in one piece as split into blocks, so the results do not
@@ -15,6 +17,7 @@ results are bit-identical for a given seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,6 +113,8 @@ class ExperimentConfig:
     drift_initial: float | None = 0.0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if not (self.horizon > self.burn_in >= 0):
@@ -150,11 +155,109 @@ class DivergenceError(RuntimeError):
 # ---- core chunked simulation ------------------------------------------
 
 
+#: the constants of numpy's ``SeedSequence`` (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(init: int, mult: int):
+    """The running hash of ``SeedSequence``: each call xors its uint32
+    array argument with the hash constant, advances the constant by
+    ``mult``, multiplies by the new constant and folds the high half in."""
+    const = init
+
+    def hash_step(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        value ^= value >> 16
+        return value
+    return hash_step
+
+
+def _seed_words(seed: int, reps, key: int) -> np.ndarray:
+    """``SeedSequence([seed, rep], spawn_key=(key,)).generate_state(4,
+    np.uint64)`` for every rep in ``reps``, as a (len(reps), 4) array.
+
+    A port of numpy's ``SeedSequence`` to uint32 arrays, one element per
+    replication: the hash constants do not depend on the data, so each
+    step is one array operation across all replications.  Pinned against
+    ``np.random.SeedSequence`` by a test.
+    """
+    reps = np.asarray(reps, dtype=np.int64)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if len(reps) and not 0 <= reps.min() <= reps.max() <= _MASK32:
+        raise ValueError(
+            f"replications must lie in [0, 2**32), got {reps.min()}..{reps.max()}")
+    # the assembled entropy: the seed's 32-bit words, then rep, padded
+    # with zeros to the pool size, then the spawn key
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(len(reps), w, dtype=np.uint32) for w in words]
+    entropy.append(reps.astype(np.uint32))
+    entropy += [np.zeros(len(reps), dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    entropy.append(np.full(len(reps), key, dtype=np.uint32))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        result ^= result >> 16
+        return result
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(value) for value in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(value))
+
+    # generate_state: eight uint32 words drawn from the pool in turn, paired
+    # as lo | hi << 32, so that nothing depends on the host's byte order
+    generate = _hasher(_INIT_B, _MULT_B)
+    state = np.empty((len(reps), 4), dtype=np.uint64)
+    for i in range(4):
+        j = 2 * i % _POOL_SIZE
+        state[:, i] = generate(pool[j])
+        state[:, i] |= generate(pool[j + 1]).astype(np.uint64) << np.uint64(32)
+    return state
+
+
+@functools.cache
+def _seed_words_type():
+    """The seed type handed to ``np.random.PCG64``, built on first use: it
+    must subclass numpy.random's ``ISeedSequence``, and importing
+    numpy.random (about 10 ms) is left to the first run, not paid by every
+    import of the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """The state words of one seed sequence, computed in advance: all
+        that PCG64 asks of its seed is ``generate_state(4, np.uint64)``."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+    return SeedWords
+
+
 def _streams(seed: int, reps, key: int) -> list[np.random.Generator]:
     """Sub-stream ``key`` (0 path, 1 noise) of each replication in ``reps``:
-    the ``key``-th child of ``SeedSequence([seed, rep]).spawn(2)``."""
-    return [np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([seed, rep], spawn_key=(key,)))) for rep in reps]
+    the ``key``-th child of ``SeedSequence([seed, rep]).spawn(2)``, seeded
+    from ``_seed_words`` in one pass over all of ``reps``."""
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(words)))
+            for words in _seed_words(seed, reps, key)]
 
 
 def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
@@ -196,7 +299,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
             paths[:steps] += signal.x0
             draws[:, 0] = draws[:, steps]
         for rng, row in zip(noise_rngs, draws):
-            row[1:steps + 1] = noise.sample(rng, steps)
+            noise.sample(rng, steps, out=row[1:steps + 1])
         _time_major(draws[:, 1:steps + 1], obs[:steps])
         obs[:steps] += paths[:steps]
         for i in range(steps):

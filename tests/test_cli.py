@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
+import hashlib
 import math
 import re
 import textwrap
@@ -292,6 +293,69 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert a != b
 
 
+#: tiny fixed-seed runs, 64 replications x 50 steps, and the sha256 of the
+#: CSV ``simulate`` writes for each.  They pin the RNG layout of every
+#: replication, not only of replication 0: a change that moves the layout
+#: must update these values and announce it.
+LAYOUT_PINS = {
+    "constant_gg2": ("""\
+        [signal]
+        kind = constant
+        [noise]
+        family = gg
+        beta = 2
+        [quantizer]
+        nbits = 2
+        cdelta = 0.6
+        [run]
+        replications = 64
+        horizon = 50
+        seed = 20240801
+        initial_offset = 2
+        """, "637b5692f6c6538a7af0b8cb1bca58fb5d541598501aff912f0741de3ba86b1c"),
+    "wiener_gg2p5": ("""\
+        [signal]
+        kind = wiener
+        sigma_w = 0.01
+        [noise]
+        family = gg
+        beta = 2.5
+        [quantizer]
+        nbits = 2
+        cdelta = 0.6
+        [run]
+        replications = 64
+        horizon = 50
+        seed = 20240802
+        """, "9a32e396c95381e8ccc031bc94b7ca44c62dcc6fdb063e5f24c42a17c5574584"),
+    "drift_st2": ("""\
+        [signal]
+        kind = wiener_drift
+        sigma_w = 1e-3
+        u = 1e-3
+        [noise]
+        family = st
+        beta = 2
+        [quantizer]
+        nbits = 2
+        cdelta = 0.8
+        [run]
+        replications = 64
+        horizon = 50
+        seed = 20240803
+        """, "678458325864ea795945b9b45712202e19178853794ef8b083a62515113d94ec"),
+}
+
+
+@pytest.mark.parametrize("name", LAYOUT_PINS)
+def test_simulate_output_bytes_are_pinned(tmp_path, name):
+    body, digest = LAYOUT_PINS[name]
+    cfg_path = write_config(tmp_path / f"{name}.cfg", body)
+    assert main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / f"{name}.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == digest
+
+
 def test_figures_command_smoke(tmp_path, monkeypatch):
     configs = []
 
@@ -414,3 +478,33 @@ def test_figures_counts_must_be_positive(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "x.cfg", "--seed", "-1"],
+    ["figures", "--seed", "-1"],
+])
+def test_negative_seed_flag_rejected(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_seed_in_config_rejected(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "neg.cfg", """\
+        [signal]
+        kind = constant
+        [noise]
+        family = gg
+        [quantizer]
+        cdelta = 0.69
+        [run]
+        seed = -1
+        """)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert not out.exists()

@@ -255,17 +255,29 @@ def test_each_sampler_is_one_draw(model, draw):
     rec = _Recorder(7)
     model.sample(rec, 10)
     assert rec.calls == [draw]
+    rec.calls.clear()
+    model.sample(rec, 10, out=np.empty(10))
+    assert rec.calls == [draw]
 
 
 @pytest.mark.parametrize("family,beta",
                          ALL_SHAPES + [(Family.GG, 0.7), (Family.GG, 10.0)])
 def test_samples_do_not_depend_on_the_split(family, beta):
-    """The Monte Carlo engine draws each replication's noise in time blocks."""
+    """The Monte Carlo engine draws each replication's noise in time blocks,
+    into its work matrix: ``out`` is filled and returned, with the bits of
+    a plain draw."""
     m = NoiseModel(family, beta, 1.3)
     split = np.random.default_rng(31)
     whole = m.sample(np.random.default_rng(31), 20)
     assert np.array_equal(np.concatenate([m.sample(split, 7), m.sample(split, 13)]),
                           whole)
+    buf = np.full(20, np.nan)
+    assert m.sample(np.random.default_rng(31), 20, out=buf) is buf
+    assert np.array_equal(buf, whole)
+    split, pieces = np.random.default_rng(31), np.full(20, np.nan)
+    m.sample(split, 7, out=pieces[:7])
+    m.sample(split, 13, out=pieces[7:])
+    assert np.array_equal(pieces, whole)
 
 
 def test_symmetry_of_samples(rng):

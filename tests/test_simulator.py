@@ -95,6 +95,8 @@ def test_config_validation():
     ]:
         with pytest.raises(ValueError):
             make_config(**overrides)
+    with pytest.raises(ValueError, match="seed"):
+        make_config(seed=-1)
 
 
 def test_determinism_same_seed_and_threads():
@@ -408,6 +410,33 @@ def test_draws_do_not_depend_on_the_split(draw):
     split = np.random.default_rng(99)
     whole = draw(np.random.default_rng(99), 20)
     assert np.array_equal(np.concatenate([draw(split, 7), draw(split, 13)]), whole)
+
+
+def _assert_streams_match(seed, reps):
+    for key in (0, 1):
+        words = simulator._seed_words(seed, reps, key)
+        streams = simulator._streams(seed, reps, key)
+        for rep, row, stream in zip(reps, words, streams):
+            ss = np.random.SeedSequence([seed, rep], spawn_key=(key,))
+            assert np.array_equal(row, ss.generate_state(4, np.uint64)), (seed, rep, key)
+            assert np.array_equal(stream.standard_normal(100),
+                                  np.random.default_rng(ss).standard_normal(100))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 1, 2**100])
+def test_streams_match_numpy_seed_sequence(seed):
+    """The one-pass seeding is numpy's ``SeedSequence`` bit for bit: its
+    state words and the first draws of its generators."""
+    _assert_streams_match(seed, [0, 1, 1000, 2**32 - 1])
+    for bad in ([2**32], [0, -1]):
+        with pytest.raises(ValueError):
+            simulator._streams(seed, bad, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.integers(0, 2**128 - 1), hs.lists(hs.integers(0, 2**32 - 1), max_size=5))
+def test_streams_match_numpy_seed_sequence_property(seed, reps):
+    _assert_streams_match(seed, reps)
 
 
 def _block_cases():
