@@ -9,7 +9,9 @@ Subcommands:
 
 Experiment configuration lives in INI-style files (see configs/ for
 examples); command-line flags override file values.  Every run writes a
-manifest echoing the fully resolved configuration.
+manifest echoing the fully resolved configuration.  Input a command cannot
+use ends it with one ``error:`` line and exit code 1, before it writes
+anything.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .simulator import (
     ExperimentConfig,
     SignalKind,
     SignalModel,
-    run_continuous_reference,
     run_experiment,
     write_result_csv,
     write_summary,
@@ -61,13 +62,9 @@ def _write_manifest(out_dir: Path, name: str, entries: dict) -> None:
 def cmd_design(args) -> int:
     n_intervals = 2**args.nbits
     grid = _grid_from_args(args)
-    try:
-        model = NoiseModel(Family(args.noise), args.beta, args.delta)
-        ic = model.fisher_continuous()
-        spec, design = design_uniform(model, n_intervals, grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    model = NoiseModel(Family(args.noise), args.beta, args.delta)
+    ic = model.fisher_continuous()
+    spec, design = design_uniform(model, n_intervals, grid)
     lq = analysis.loss_constant_db(design.info, ic)
     print(f"noise       : {model.family.value} beta={model.beta} delta={model.delta}")
     print(f"n_intervals : {n_intervals} (nbits={args.nbits})")
@@ -115,12 +112,8 @@ def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
 
 def cmd_loss_table(args) -> int:
     grid = _grid_from_args(args)
-    try:
-        noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
-        rows = _loss_rows(noises, args.nbits, grid, args.delta)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    noises = _parse_noises(args.noises) if args.noises else SEVEN_NOISES
+    rows = _loss_rows(noises, args.nbits, grid, args.delta)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "loss_table.csv"
@@ -147,8 +140,7 @@ def _float_or_none(word):
 CONFIG_KEYS = {
     "signal": {"kind": SignalKind, "x0": float, "sigma_w": float, "u": float},
     "noise": {"family": Family, "beta": float, "delta": float},
-    "quantizer": {"mode": str, "nbits": int, "cdelta": _float_or_none("auto"),
-                  "grid_min": float, "grid_max": float, "grid_step": float},
+    "quantizer": {"mode": str, "nbits": int, "cdelta": _float_or_none("auto")},
     "run": {"replications": int, "horizon": int, "burn_in": int, "seed": int,
             "initial_offset": float},
     "drift_estimator": {"gain": float, "initial": _float_or_none("true")},
@@ -162,12 +154,15 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
     cannot silently fall back to a default.  The only defaults here are
     those no dataclass field holds: signal kind constant, GG noise with
-    beta 2, and a quantized mode with 2 bits and c_delta searched on the
-    grid, which defaults to ``DEFAULT_CDELTA_GRID``.
+    beta 2, and a quantized mode with 2 bits and c_delta searched on
+    ``DEFAULT_CDELTA_GRID``.
     """
     parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+    except configparser.Error as exc:  # not INI: no header, a repeated key
+        raise ValueError(str(exc).replace("\n", " ")) from exc
     sections = {}
     for section in [parser.default_section, *parser.sections()]:
         if section not in CONFIG_KEYS and section != parser.default_section:
@@ -196,9 +191,7 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
             raise ValueError(f"{path}: [quantizer] nbits must be >= 1, got {nbits}")
         cdelta = qua["cdelta"]
         if cdelta is None:
-            grid = tuple(qua.get(f"grid_{end}", default) for end, default
-                         in zip(("min", "max", "step"), DEFAULT_CDELTA_GRID))
-            cdelta, _ = optimize_cdelta(noise, 2**nbits, grid)
+            cdelta, _ = optimize_cdelta(noise, 2**nbits)
         spec = QuantizerSpec.uniform(2**nbits, cdelta)
     elif qua["mode"] != "continuous":
         raise ValueError(f"unknown quantizer mode {qua['mode']!r}")
@@ -211,16 +204,11 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = load_experiment_config(args.config, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = load_experiment_config(args.config, args.seed)
+    result = run_experiment(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(args.config).stem
-    run = run_continuous_reference if config.quantizer is None else run_experiment
-    result = run(config)
     write_result_csv(result, out_dir / f"{name}.csv")
     write_summary(result, out_dir / f"{name}.summary")
     manifest = dict(result.metadata)
@@ -384,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # DesignError, a missing file, ...
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

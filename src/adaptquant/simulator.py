@@ -8,11 +8,12 @@ streams of a whole chunk are seeded in one pass by ``_seed_words``, a
 vectorized port of numpy's ``SeedSequence`` pinned to it bit for bit.  A
 chunk advances in time blocks: the paths, observations and estimates of
 a block are time-major (steps, replications) matrices of at most
-``BLOCK_ELEMENTS`` floats, and only the per-step sum of squared errors is
-kept, so memory does not grow with the horizon.  numpy's draws give the
-same values in one piece as split into blocks, so the results do not
-depend on the block length; the chunk sums are added in chunk order, so
-results are bit-identical for a given seed.
+``BLOCK_ELEMENTS`` floats, a step's estimates written over the observations
+it consumed, and only the per-step sum of squared errors is kept, so
+memory does not grow with the horizon.  numpy's draws give the same values
+in one piece as split into blocks, so the results do not depend on the
+block length; the chunk sums are added in chunk order, so results are
+bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class ExperimentConfig:
     """One Monte Carlo experiment.
 
     ``quantizer`` None selects the continuous-measurement reference
-    algorithm.  ``drift_initial`` None initializes the drift estimate at
+    algorithm, which needs a differentiable density (GG beta > 1, or
+    Student's t).  ``drift_initial`` None initializes the drift estimate at
     the true drift (oracle warm start); the default is 0.
     """
 
@@ -127,6 +129,10 @@ class ExperimentConfig:
         starts = (self.initial_offset, self.drift_initial or 0.0)
         if not all(map(math.isfinite, starts)):
             raise ValueError(f"initial_offset, drift_initial must be finite: {starts}")
+        if self.quantizer is None:
+            self.noise.fisher_continuous()  # raises where it is not finite
+            if self.noise.family is Family.GG and self.noise.beta <= 1.0:
+                raise ValueError("continuous reference requires a differentiable density")
 
 
 @dataclass
@@ -263,7 +269,7 @@ def _streams(seed: int, reps, key: int) -> list[np.random.Generator]:
 def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     """Per-step Σe² over replications ``reps`` and the mask of those that diverged.
 
-    Works in time blocks on four fixed matrices of at most
+    Works in time blocks on three fixed matrices of at most
     ``BLOCK_ELEMENTS`` floats, so memory does not depend on the horizon.
     Divergence is checked at the end of each block.  A diverged
     replication runs on and its sum is kept: the caller reruns without it.
@@ -285,11 +291,12 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     dead = np.zeros(n_rep, dtype=bool)
     sumsq = np.empty(config.horizon)
     # per-replication draws (column 0 carries the walks) and the time-major
-    # paths, observations and estimates of one block
+    # paths and observations of one block, which step i overwrites in row i
+    # with its estimates
     draws = np.zeros((n_rep, block + 1))
     paths = (np.empty((block, n_rep)) if moving
              else np.broadcast_to(signal.x0, (block, n_rep)))
-    obs, x_hats = np.empty((block, n_rep)), np.empty((block, n_rep))
+    obs = np.empty((block, n_rep))
 
     for start in range(0, config.horizon, block):
         steps = min(block, config.horizon - start)
@@ -308,15 +315,14 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
             d = (-noise.score(diff) if design is None
                  else direction(diff, design.thresholds, design.levels))
             x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
-            x_hats[i] = x_hat
+            obs[i] = x_hat
+        x_hats = obs[:steps]
         # max and min propagate NaN, so a NaN estimate counts as diverged;
         # no temporary of the block's size
-        dead |= ~((x_hats[:steps].max(axis=0) <= limit)
-                  & (x_hats[:steps].min(axis=0) >= -limit))
-        err2 = x_hats[:steps]
-        err2 -= paths[:steps]
-        err2 *= err2
-        sumsq[start:start + steps] = err2.sum(axis=1)
+        dead |= ~((x_hats.max(axis=0) <= limit) & (x_hats.min(axis=0) >= -limit))
+        x_hats -= paths[:steps]
+        x_hats *= x_hats  # the squared errors
+        sumsq[start:start + steps] = x_hats.sum(axis=1)
     return sumsq, dead
 
 
@@ -377,11 +383,12 @@ def _continuous_info(noise: NoiseModel):
         return math.nan
 
 
-def _finalize(config: ExperimentConfig, info: float, mse, diverged,
+def _finalize(config: ExperimentConfig, design, mse, diverged,
               t0: float) -> ExperimentResult:
     signal, kind = config.signal, config.signal.kind
-    quantized = config.quantizer is not None
+    quantized = design is not None
     ic = _continuous_info(config.noise)
+    info = design.info if quantized else ic
     theory, baseline = [
         analysis.PerformancePrediction(i).mse_curve(
             kind, config.horizon, signal.sigma_w, signal.u) for i in (info, ic)]
@@ -432,24 +439,21 @@ def _finalize(config: ExperimentConfig, info: float, mse, diverged,
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run the quantized-observation experiment described by ``config``,
-    on the design built from its quantizer spec."""
-    if config.quantizer is None:
-        raise ValueError("config has no quantizer spec; use run_continuous_reference")
+    """Run the experiment described by ``config``: the quantized estimator
+    on the design built from its quantizer spec, or the continuous-measurement
+    reference when the spec is None."""
     t0 = time.perf_counter()
-    design = build_design(config.noise, config.quantizer)
+    design = (None if config.quantizer is None
+              else build_design(config.noise, config.quantizer))
     mse, diverged = _aggregate(config, design)
-    return _finalize(config, design.info, mse, diverged, t0)
+    return _finalize(config, design, mse, diverged, t0)
 
 
 def run_continuous_reference(config: ExperimentConfig) -> ExperimentResult:
-    """Run the continuous-measurement reference algorithm."""
-    t0 = time.perf_counter()
-    info = config.noise.fisher_continuous()
-    if config.noise.family is Family.GG and config.noise.beta <= 1.0:
-        raise ValueError("continuous reference requires a differentiable density")
-    mse, diverged = _aggregate(config, None)
-    return _finalize(config, info, mse, diverged, t0)
+    """``run_experiment`` on a config without a quantizer spec."""
+    if config.quantizer is not None:
+        raise ValueError("config has a quantizer spec; use run_experiment")
+    return run_experiment(config)
 
 
 # ---- persistence -------------------------------------------------------

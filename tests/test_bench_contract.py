@@ -8,6 +8,7 @@ command-line flag they pass fail in this suite, not only in a benchmark run.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -60,3 +61,15 @@ def test_one_op_of_each_workload_runs(tmp_path, factory, args):
     op.output = work.run_op(op, workloads.reset_dir(tmp_path / "out"))
     assert op.output[0] == 0
     assert all(error is None for _, error in work.run_checks([op]))
+
+
+def test_one_pass_of_online_scalar_runs(tmp_path):
+    # one stream of each gain schedule through estimator.step_quantized
+    workloads = _load("workloads")
+    work = workloads.OnlineScalar(length=40, pool_passes=1)
+    work.setup(0, tmp_path)
+    ops = work.next_pass()
+    assert {op.args.kind for op in ops} == set(workloads.ScheduleKind)
+    for op in ops:
+        x_hat = work.run_op(op, tmp_path)
+        assert len(x_hat) == 40 and all(map(math.isfinite, x_hat))

@@ -414,6 +414,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ("[drift_estimator]\ngian = 1e-5\n", "'gian' in section [drift_estimator]"),
     ("[DEFAULT]\nseed = 3\n", "'seed' in section [DEFAULT]"),
     ("[runs]\nreplications = 10\n", "section [runs]"),
+    # the c_delta grid of cdelta = auto is DEFAULT_CDELTA_GRID, not a setting
+    ("grid_min = 0.01\n", "'grid_min' in section [quantizer]"),
+    ("grid_max = 10.0\n", "'grid_max' in section [quantizer]"),
+    ("grid_step = 0.01\n", "'grid_step' in section [quantizer]"),
 ])
 def test_unknown_config_entries_rejected(tmp_path, body, where):
     cfg_path = write_config(tmp_path / "typo.cfg", """\
@@ -507,4 +511,31 @@ def test_negative_seed_in_config_rejected(tmp_path, capsys):
     assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed must be >= 0" in err
+    assert not out.exists()
+
+
+RUN = "[run]\nreplications = 4\nhorizon = 10\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found"),
+    ("[signal]\n[noise]\nbeta = 1\n[quantizer]\nmode = continuous\n" + RUN,
+     "requires a differentiable density"),
+    ("[signal]\n[noise]\nbeta = 0.5\n[quantizer]\nmode = continuous\n" + RUN,
+     "not finite"),
+    ("[signal]\n[noise]\n[quantizer]\nnbits = 3\ncdelta = 30\n" + RUN,
+     "vanishing probability mass"),
+    ("kind = constant\n", "File contains no section headers"),
+    ("[signal]\n[noise]\n[noise]\n", "section 'noise' already exists"),
+], ids=["missing_file", "continuous_gg1", "continuous_gg0.5", "nb3_cdelta30",
+        "no_section_header", "repeated_section"])
+def test_simulate_rejects_unusable_input_before_writing(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
     assert not out.exists()

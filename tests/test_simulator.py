@@ -312,9 +312,21 @@ def test_run_experiment_builds_the_design_of_its_config(monkeypatch):
     (0.5, "not finite"),                         # rejected by fisher_continuous
 ])
 def test_continuous_reference_rejects_gg_without_a_score(beta, match):
-    cfg = make_config(noise=gg(beta), quantizer=None, replications=2, horizon=3)
     with pytest.raises(ValueError, match=match):
-        run_continuous_reference(cfg)
+        make_config(noise=gg(beta), quantizer=None, replications=2, horizon=3)
+
+
+def test_one_runner_for_both_modes(tmp_path):
+    with pytest.raises(ValueError, match="has a quantizer spec"):
+        run_continuous_reference(make_config(replications=2, horizon=3))
+    cfg = make_config(noise=st(2.0), quantizer=None, replications=20, horizon=30)
+    for name, run in [("experiment", run_experiment),
+                      ("reference", run_continuous_reference)]:
+        result = run(cfg)
+        assert result.metadata["mode"] == "continuous"
+        write_result_csv(result, tmp_path / f"{name}.csv")
+    assert ((tmp_path / "experiment.csv").read_bytes()
+            == (tmp_path / "reference.csv").read_bytes())
 
 
 PARITY_SIGNALS = [
