@@ -22,6 +22,11 @@ from .special import incomplete_beta_regularized, regularized_gamma_q
 #: 1e-12 relative accuracy for shapes 1/beta up to 100
 MIN_GG_BETA = 0.01
 
+#: floats per scratch array of the GG sampler's (W, E) pairs: it works
+#: through a block a few rows at a time (one row at least), so the scratch
+#: is never a second matrix of the block's size
+SCRATCH_ELEMENTS = 4096
+
 
 class Family(str, Enum):
     GG = "gg"
@@ -143,35 +148,87 @@ class NoiseModel:
         return info_n / self.delta**2
 
     def sample(self, rng: np.random.Generator, size=None, out=None):
-        """Draw i.i.d. samples.
+        """Draw ``size`` i.i.d. samples (one float when ``size`` is None):
+        the one-row case of ``sample_block``, with the same bits.
 
-        All variates of a sample come from one numpy call that draws sample
-        after sample, so draws split into pieces give the same values as
-        drawn in one piece: the Monte Carlo engine draws in time blocks.
-        ``out``, a float64 array of shape ``size``, receives the samples and
-        is returned; the values are the same bits as without it.
-
-        GG, beta = 2: V = delta / sqrt(2) * Z with Z standard normal, drawn
-        into ``out`` and scaled in place.
-        GG, other beta: |V| = delta * G^(1/beta) with G ~ Gamma(1/beta),
-        signed + when an Exp(1) draw E exceeds ln 2 (probability 1/2); one
-        gamma call draws the (G, E) pairs.
-        ST: V = delta * T with T Student's t with beta degrees of freedom.
+        ``out``, a float64 array of length ``size``, receives the samples
+        and is returned.  Draws split into pieces give the same values as
+        drawn in one piece.
         """
-        b = self.beta
         n = 1 if size is None else size
         if out is None:
             out = np.empty(n)
-        if self.family is Family.ST:
-            np.multiply(self.delta, rng.standard_t(b, size=n), out=out)
-        elif b == 2.0:
-            rng.standard_normal(out=out)
-            out *= self.delta / math.sqrt(2.0)
-        else:
-            g = rng.gamma(np.array([1.0 / b, 1.0]), size=(n, 2))
-            sign = np.where(g[:, 1] > math.log(2.0), 1.0, -1.0)
-            np.multiply(self.delta * sign, g[:, 0] ** (1.0 / b), out=out)
+        self.sample_block([rng], out[np.newaxis])
         return float(out[0]) if size is None else out
+
+    def sample_block(self, rngs, out: np.ndarray) -> np.ndarray:
+        """Fill row i of the (rows, steps) float64 matrix ``out`` with i.i.d.
+        samples drawn from ``rngs[i]``, and return ``out``.
+
+        Each row's raw draws come from one numpy call that draws them one
+        after another, so a row drawn in pieces gets the same values as
+        drawn in one piece: the Monte Carlo engine draws each replication's
+        noise in time blocks.  The family's transform and the scale are then
+        applied to the whole matrix, by the GG sampler a few rows at a time
+        (``SCRATCH_ELEMENTS``).
+
+        GG, beta = 2: V = delta / sqrt(2) * Z with Z from ``standard_normal``.
+        GG, other beta: V = delta * (2 e^(-E) - 1) * W^(1/beta), one
+        ``standard_gamma`` call drawing the pairs W ~ Gamma(1 + 1/beta),
+        E ~ Exp(1); 2 e^(-E) - 1 is uniform on (-1, 1) (Nardon and Pianca,
+        J. Stat. Comput. Simul., 2009).
+        ST, beta = 1 or 2: the inverse CDF at u from ``random``, taken at
+        w = (2u - 1) + 2^-53, which is exact and an odd multiple of 2^-53
+        strictly inside (-1, 1) for every u, 0 included:
+        V = delta * tan(w pi/2) (Cauchy) or
+        V = delta * w / sqrt((1 - w^2)/2), computed as
+        delta * sqrt(2) * sinh(artanh w).  Both are finite, and odd in w
+        bit for bit.
+        ST, other beta: V = delta * T with T from ``standard_t``.
+        """
+        b, scale = self.beta, self.delta
+        if self.family is Family.ST and b in (1.0, 2.0):
+            for rng, row in zip(rngs, out):
+                rng.random(out=row)
+            out *= 2.0
+            out -= 1.0 - 2.0**-53  # (2u - 1) + 2^-53, exactly
+            if b == 1.0:
+                out *= math.pi / 2.0
+                np.tan(out, out=out)
+            else:  # sqrt(2) sinh(artanh w), in place: no scratch
+                np.arctanh(out, out=out)
+                np.sinh(out, out=out)
+                scale *= math.sqrt(2.0)
+        elif self.family is Family.ST:
+            for rng, row in zip(rngs, out):
+                row[:] = rng.standard_t(b, size=len(row))
+        elif b == 2.0:
+            for rng, row in zip(rngs, out):
+                rng.standard_normal(out=row)
+            scale /= math.sqrt(2.0)
+        else:
+            _generalized_gaussian(rngs, out, b)
+        if scale != 1.0:
+            out *= scale
+        return out
+
+
+def _generalized_gaussian(rngs, out: np.ndarray, beta: float) -> None:
+    """(2 e^(-E) - 1) W^(1/beta) into row i of ``out``, the pairs
+    (W, E) ~ (Gamma(1 + 1/beta), Exp(1)) drawn from ``rngs[i]``."""
+    shapes = np.array([1.0 + 1.0 / beta, 1.0])
+    rows = max(1, min(len(out), SCRATCH_ELEMENTS // max(1, out.shape[1])))
+    pairs = np.empty((rows, out.shape[1], 2))
+    for j in range(0, len(out), rows):
+        tile = out[j:j + rows]
+        p = pairs[:len(tile)]
+        for rng, row in zip(rngs[j:j + rows], p):
+            rng.standard_gamma(shapes, out=row)
+        np.negative(p[..., 1], out=tile)
+        np.exp(tile, out=tile)
+        tile *= 2.0
+        tile -= 1.0
+        tile *= np.power(p[..., 0], 1.0 / beta, out=p[..., 0])
 
 
 def gg(beta: float, delta: float = 1.0) -> NoiseModel:

@@ -10,10 +10,12 @@ chunk advances in time blocks: the paths, observations and estimates of
 a block are time-major (steps, replications) matrices of at most
 ``BLOCK_ELEMENTS`` floats, a step's estimates written over the observations
 it consumed, and only the per-step sum of squared errors is kept, so
-memory does not grow with the horizon.  numpy's draws give the same values
-in one piece as split into blocks, so the results do not depend on the
-block length; the chunk sums are added in chunk order, so results are
-bit-identical for a given seed.
+memory does not grow with the horizon.  A block's noise is drawn by
+``NoiseModel.sample_block``: one numpy call per replication fills its row
+with raw draws, and the family's transform runs once over the block.
+numpy's draws give the same values in one piece as split into blocks, so
+the results do not depend on the block length; the chunk sums are added in
+chunk order, so results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -305,8 +307,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
             _time_major(draws[:, 1:steps + 1], paths[:steps])
             paths[:steps] += signal.x0
             draws[:, 0] = draws[:, steps]
-        for rng, row in zip(noise_rngs, draws):
-            noise.sample(rng, steps, out=row[1:steps + 1])
+        noise.sample_block(noise_rngs, draws[:, 1:steps + 1])
         _time_major(draws[:, 1:steps + 1], obs[:steps])
         obs[:steps] += paths[:steps]
         for i in range(steps):

@@ -327,7 +327,7 @@ LAYOUT_PINS = {
         replications = 64
         horizon = 50
         seed = 20240802
-        """, "9a32e396c95381e8ccc031bc94b7ca44c62dcc6fdb063e5f24c42a17c5574584"),
+        """, "2f8025970bb4470c65f71d56f2fbd7320b3f39a68c1bc733e775f013e6309e8e"),
     "drift_st2": ("""\
         [signal]
         kind = wiener_drift
@@ -343,7 +343,7 @@ LAYOUT_PINS = {
         replications = 64
         horizon = 50
         seed = 20240803
-        """, "678458325864ea795945b9b45712202e19178853794ef8b083a62515113d94ec"),
+        """, "6c8000ac163825ab6d91c9e39070034d9102ec1babbdd7ba958175e2235d882b"),
 }
 
 

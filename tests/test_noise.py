@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import gammaincc
-from scipy.stats import gennorm, kstest
+from scipy.stats import gennorm, kstest, t as student_t
 
-from adaptquant.noise import MIN_GG_BETA, STANDARD_SHAPES, Family, NoiseModel, gg, st
+from adaptquant.noise import (MIN_GG_BETA, SCRATCH_ELEMENTS, STANDARD_SHAPES,
+                              Family, NoiseModel, gg, st)
 
 ALL_SHAPES = list(STANDARD_SHAPES) + [(Family.GG, 1.0)]  # plus Laplace
 DELTAS = [0.5, 1.0, 2.0]
@@ -236,6 +237,21 @@ def test_gg2_sampler_is_normal():
     assert np.array_equal(draws, again)
 
 
+@pytest.mark.parametrize("family,beta", [
+    (Family.GG, 1.5), (Family.GG, 2.5), (Family.GG, 3.0),
+    (Family.ST, 1.0), (Family.ST, 2.0), (Family.ST, 3.0),
+])
+def test_block_samples_match_scipy(family, beta):
+    """KS test of the engine's draw pattern, one stream per row of a block,
+    against scipy's generalized normal and Student's t."""
+    m = NoiseModel(family, beta, delta=1.3)
+    rngs = [np.random.default_rng([77, i]) for i in range(40)]
+    draws = m.sample_block(rngs, np.empty((40, 500))).ravel()
+    law = (gennorm(beta, scale=1.3) if family is Family.GG
+           else student_t(beta, scale=1.3))
+    assert kstest(draws, law.cdf).pvalue > 1e-3
+
+
 class _Recorder:
     """A generator that records the names of the draws made from it."""
 
@@ -248,8 +264,9 @@ class _Recorder:
 
 
 @pytest.mark.parametrize("model,draw", [
-    (gg(2.0), "standard_normal"), (gg(1.5), "gamma"), (gg(2.5), "gamma"),
-    (gg(1.0), "gamma"), (st(2.0), "standard_t"), (st(1.0), "standard_t"),
+    (gg(2.0), "standard_normal"), (gg(1.5), "standard_gamma"),
+    (gg(2.5), "standard_gamma"), (gg(1.0), "standard_gamma"),
+    (st(2.0), "random"), (st(1.0), "random"), (st(3.0), "standard_t"),
 ])
 def test_each_sampler_is_one_draw(model, draw):
     rec = _Recorder(7)
@@ -258,6 +275,9 @@ def test_each_sampler_is_one_draw(model, draw):
     rec.calls.clear()
     model.sample(rec, 10, out=np.empty(10))
     assert rec.calls == [draw]
+    recs = [_Recorder(i) for i in range(3)]  # one row per GG scratch tile
+    model.sample_block(recs, np.empty((len(recs), SCRATCH_ELEMENTS // 2 + 1)))
+    assert all(r.calls == [draw] for r in recs)
 
 
 @pytest.mark.parametrize("family,beta",
@@ -265,7 +285,11 @@ def test_each_sampler_is_one_draw(model, draw):
 def test_samples_do_not_depend_on_the_split(family, beta):
     """The Monte Carlo engine draws each replication's noise in time blocks,
     into its work matrix: ``out`` is filled and returned, with the bits of
-    a plain draw."""
+    a plain draw.  Row i of a block is what ``sample`` draws from stream i,
+    whole or in 7 + 13 pieces, over more than one scratch tile of rows,
+    into a matrix of its own or into columns of a wider one as the engine
+    does: the transforms (tan, arctanh, sinh, exp, power) give the same
+    bits on a matrix as on one row."""
     m = NoiseModel(family, beta, 1.3)
     split = np.random.default_rng(31)
     whole = m.sample(np.random.default_rng(31), 20)
@@ -278,6 +302,53 @@ def test_samples_do_not_depend_on_the_split(family, beta):
     m.sample(split, 7, out=pieces[:7])
     m.sample(split, 13, out=pieces[7:])
     assert np.array_equal(pieces, whole)
+
+    def streams():
+        return [np.random.default_rng([31, i])
+                for i in range(SCRATCH_ELEMENTS // 20 + 5)]
+
+    by_row = np.stack([m.sample(rng, 20) for rng in streams()])
+    block = np.full(by_row.shape, np.nan)
+    assert m.sample_block(streams(), block) is block
+    assert np.array_equal(block, by_row)
+    wide, rngs = np.full((len(by_row), 22), np.nan), streams()
+    m.sample_block(rngs, wide[:, 1:8])
+    m.sample_block(rngs, wide[:, 8:21])
+    assert np.array_equal(wide[:, 1:21], by_row)
+    for row, rng in zip(by_row, streams()):
+        m.sample(rng, 7, out=pieces[:7])
+        m.sample(rng, 13, out=pieces[7:])
+        assert np.array_equal(pieces, row)
+
+
+class _FixedUniforms:
+    """A generator whose ``random`` fills ``out`` with the values given."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, out):
+        out[:] = self.values[:len(out)]
+        return out
+
+
+@pytest.mark.parametrize("nu", [1.0, 2.0])
+def test_student_t_inverse_cdf_on_the_open_interval(nu):
+    """random() may return 0.0 and, at most, 1 - 2^-53: both give finite
+    draws, negative and positive; and u -> (1 - 2^-53) - u, the reflection
+    w -> -w, flips the sign of a draw and nothing else."""
+    m = st(nu, delta=1.3)
+    ends = m.sample_block([_FixedUniforms([0.0, 1.0 - 2.0**-53])], np.empty((1, 2)))[0]
+    assert np.all(np.isfinite(ends))
+    assert ends[0] < 0.0 < ends[1]
+    assert ends[0] == -ends[1]
+    u = np.concatenate([[0.0, 2.0**-53, 0.5 - 2.0**-53, 0.5, 1.0 - 2.0**-53],
+                        np.random.default_rng(5).random(10_000)])
+    reflected = (1.0 - 2.0**-53) - u  # exact on the 2^-53 grid
+    draws = m.sample_block([_FixedUniforms(u)], np.empty((1, len(u))))[0]
+    mirror = m.sample_block([_FixedUniforms(reflected)], np.empty((1, len(u))))[0]
+    assert np.all(np.isfinite(draws))
+    assert np.array_equal(mirror, -draws)
 
 
 def test_symmetry_of_samples(rng):

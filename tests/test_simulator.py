@@ -412,8 +412,10 @@ def test_scalar_api_matches_engine_continuous(signal, noise):
     lambda rng, n: rng.chisquare(2.0, size=n),
     lambda rng, n: rng.standard_t(2.0, size=n),
     lambda rng, n: rng.gamma(np.array([0.5, 1.0]), size=(n, 2)),
+    lambda rng, n: rng.standard_gamma(np.array([1.4, 1.0]), out=np.empty((n, 2))),
+    lambda rng, n: rng.random(out=np.empty(n)),
 ], ids=["gamma", "integers", "standard_normal", "standard_normal_out", "chisquare",
-        "standard_t", "gamma_pairs"])
+        "standard_t", "gamma_pairs", "standard_gamma_pairs_out", "random_out"])
 def test_draws_do_not_depend_on_the_split(draw):
     """The engine draws in time blocks; block-length independence rests on
     numpy giving the same values drawn as 7 + 13 as drawn as 20.  Each
