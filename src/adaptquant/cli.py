@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from . import __version__, analysis
 from .noise import STANDARD_SHAPES, Family, NoiseModel
 from .quantizer import (
     DEFAULT_CDELTA_GRID,
+    MAX_NBITS,
     QuantizerSpec,
     design_uniform,
     optimize_cdelta,
@@ -103,9 +105,10 @@ def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
         model = NoiseModel(Family(fam), beta, delta)
         ic = model.fisher_continuous()
         for nb in nbits_list:
-            c_delta, iq = optimize_cdelta(model, 2**nb, grid)
-            losses = [analysis.loss_db(kind, iq, ic) for kind in SignalKind]
-            rows.append(",".join([fam, _fmt(beta), str(nb), _fmt(c_delta), _fmt(iq)]
+            c_delta, design = optimize_cdelta(model, 2**nb, grid)
+            losses = [analysis.loss_db(kind, design.info, ic) for kind in SignalKind]
+            rows.append(",".join([fam, _fmt(beta), str(nb), _fmt(c_delta),
+                                  _fmt(design.info)]
                                  + [_fmt(v) for v in losses]))
     return rows
 
@@ -187,14 +190,17 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     spec = None
     if qua["mode"] == "quantized":
         nbits = qua["nbits"]
-        if nbits < 1:
-            raise ValueError(f"{path}: [quantizer] nbits must be >= 1, got {nbits}")
+        if not 1 <= nbits <= MAX_NBITS:
+            raise ValueError(f"{path}: [quantizer] nbits must be >= 1 and "
+                             f"<= MAX_NBITS = {MAX_NBITS}, got {nbits}")
         cdelta = qua["cdelta"]
         if cdelta is None:
             cdelta, _ = optimize_cdelta(noise, 2**nbits)
         spec = QuantizerSpec.uniform(2**nbits, cdelta)
     elif qua["mode"] != "continuous":
-        raise ValueError(f"unknown quantizer mode {qua['mode']!r}")
+        mode = qua["mode"]
+        raise ValueError(f"{path}: [quantizer] mode = {mode!r}: "
+                         f"unknown quantizer mode {mode!r}")
     run = sections.get("run", {})
     if seed_override is not None:
         run["seed"] = seed_override
@@ -321,6 +327,7 @@ def _positive_ints(text: str) -> list[int]:
     return [_positive_int(item) for item in text.split(",")]
 
 
+@functools.cache  # one parse tree per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptquant",

@@ -28,6 +28,16 @@ DEFAULT_CDELTA_GRID = (0.01, 10.0, 0.01)
 #: intervals with less mass than this are treated as degenerate
 MIN_INTERVAL_MASS = 1e-300
 
+#: the finest quantizer: 2**MAX_NBITS intervals, which caps the default
+#: grid's search matrix at 1000 x 511 floats
+MAX_NBITS = 10
+
+
+def _check_size(n_intervals: int) -> None:
+    if n_intervals > 2**MAX_NBITS:
+        raise ValueError(f"n_intervals must be <= 2**MAX_NBITS = {2**MAX_NBITS} "
+                         f"({MAX_NBITS} bits), got {n_intervals}")
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -46,6 +56,7 @@ class QuantizerSpec:
         n = self.n_intervals
         if n < 2 or n & (n - 1):  # nbits names the quantizer
             raise ValueError(f"n_intervals must be a power of two >= 2, got {n}")
+        _check_size(n)
         tau = tuple(float(t) for t in self.tau)
         object.__setattr__(self, "tau", tau)
         if len(tau) != n // 2:
@@ -60,6 +71,7 @@ class QuantizerSpec:
     @classmethod
     def uniform(cls, n_intervals: int, c_delta: float) -> "QuantizerSpec":
         """Unit-spaced thresholds 1, 2, ..., N/2 - 1 plus the infinite edge."""
+        _check_size(n_intervals)  # before the tuple is sized by it
         half = n_intervals // 2
         tau = tuple(float(i) for i in range(1, half)) + (math.inf,)
         return cls(n_intervals, tau, c_delta)
@@ -151,13 +163,16 @@ def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
     return float(info) if info.ndim == 0 else info
 
 
+def _design(probs, drops, step: float, thresholds) -> QuantizerDesign:
+    """The design of one row of cell masses and density drops."""
+    return QuantizerDesign(probs, drops, optimal_levels(probs, drops),
+                           fisher_quantized(probs, drops), step, thresholds)
+
+
 def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
     step = spec.c_delta * model.delta
     thresholds = spec.finite_tau * step
-    probs, drops = interval_stats(model, thresholds)
-    levels = optimal_levels(probs, drops)
-    info = fisher_quantized(probs, drops)
-    return QuantizerDesign(probs, drops, levels, info, step, thresholds)
+    return _design(*interval_stats(model, thresholds), step, thresholds)
 
 
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -168,6 +183,12 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     (including flat profiles, e.g. Laplace noise where the information is
     threshold-independent) resolve to the smallest grid point.  Grid points
     whose design is degenerate are skipped.
+
+    Returns ``(c_delta, design)``: the design is built from the winning
+    row's own cell masses and drops, so it equals, bit for bit,
+    ``build_design(model, QuantizerSpec.uniform(n_intervals, c_delta))``
+    without a second ``interval_stats`` call; ``design.info`` is the
+    maximized information.
     """
     lo, hi, step = grid
     if not (lo > 0 and hi >= lo and step > 0):
@@ -186,14 +207,17 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     # resolve to the smallest valid grid point
     if info[best] - info.min() <= 1e-12 * max(1.0, info[best]):
         best = 0
-    return float(values[valid][best]), float(info[best])
+    row = np.flatnonzero(valid)[best]
+    c_delta = float(values[row])
+    step = c_delta * model.delta  # as build_design forms it
+    # copies, so the design does not hold the whole grid matrix alive
+    return c_delta, _design(probs[row].copy(), drops[row].copy(), step, tau * step)
 
 
 def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
-    """Optimize c_delta on the grid and build the resulting design."""
-    c_delta, _ = optimize_cdelta(model, n_intervals, grid)
-    spec = QuantizerSpec.uniform(n_intervals, c_delta)
-    return spec, build_design(model, spec)
+    """Optimize c_delta on the grid; returns (spec, the winning row's design)."""
+    c_delta, design = optimize_cdelta(model, n_intervals, grid)
+    return QuantizerSpec.uniform(n_intervals, c_delta), design
 
 
 # ---- mean-field quantities ------------------------------------------

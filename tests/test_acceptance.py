@@ -124,8 +124,8 @@ def test_criterion_04_loss_table_ranges():
         ic = m.fisher_continuous()
         losses = []
         for nbits in range(1, 6):
-            _, iq = optimize_cdelta(m, 2 ** nbits)
-            losses.append(loss_constant_db(iq, ic))
+            _, design = optimize_cdelta(m, 2 ** nbits)
+            losses.append(loss_constant_db(design.info, ic))
         key = f"{family.value}{beta:g}"
         one_bit[key] = losses[0]
         two_bit[key] = losses[1]

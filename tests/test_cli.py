@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, exit codes."""
 
+import argparse
 import hashlib
 import math
 import re
@@ -12,7 +13,7 @@ import pytest
 from adaptquant import cli
 from adaptquant.cli import load_experiment_config, main
 from adaptquant.noise import Family, NoiseModel
-from adaptquant.quantizer import QuantizerSpec, optimize_cdelta
+from adaptquant.quantizer import MAX_NBITS, QuantizerSpec, optimize_cdelta
 from adaptquant.simulator import (
     ExperimentConfig,
     SignalKind,
@@ -171,6 +172,8 @@ def test_load_experiment_config_continuous_and_drift(tmp_path):
     ("signal", "u", "nan", "u must be finite"),
     ("quantizer", "nbits", "0", "nbits must be >= 1"),
     ("quantizer", "nbits", "-1", "nbits must be >= 1"),
+    ("quantizer", "mode", "foo",
+     r"bad\.cfg: \[quantizer\] mode = 'foo': unknown quantizer mode"),
 ])
 def test_load_experiment_config_rejects_bad_values(tmp_path, section, key, value,
                                                    where):
@@ -527,8 +530,11 @@ RUN = "[run]\nreplications = 4\nhorizon = 10\n"
      "vanishing probability mass"),
     ("kind = constant\n", "File contains no section headers"),
     ("[signal]\n[noise]\n[noise]\n", "section 'noise' already exists"),
+    (f"[signal]\n[noise]\n[quantizer]\nnbits = {MAX_NBITS + 1}\n" + RUN,
+     f"[quantizer] nbits must be >= 1 and <= MAX_NBITS = {MAX_NBITS}, "
+     f"got {MAX_NBITS + 1}"),
 ], ids=["missing_file", "continuous_gg1", "continuous_gg0.5", "nb3_cdelta30",
-        "no_section_header", "repeated_section"])
+        "no_section_header", "repeated_section", "nbits_above_max"])
 def test_simulate_rejects_unusable_input_before_writing(tmp_path, capsys, text, message):
     cfg_path = tmp_path / "bad.cfg"
     if text is not None:
@@ -539,3 +545,61 @@ def test_simulate_rejects_unusable_input_before_writing(tmp_path, capsys, text, 
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--noise", "gg", "--beta", "2", "--nbits", str(MAX_NBITS + 1)],
+    ["loss-table", "--noises", "gg:2", "--nbits", f"2,{MAX_NBITS + 1}"],
+], ids=["design", "loss-table"])
+def test_more_bits_than_max_nbits_is_one_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "MAX_NBITS" in err
+    assert not out.exists()
+
+
+def test_main_runs_back_to_back_on_one_parser(tmp_path, capsys, monkeypatch):
+    """design, loss-table and simulate in one process, an argparse error
+    between them, and the parse tree is built once."""
+    built = []  # the top-level parser adds its subcommands once per build
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting_add_subparsers(parser, **kwargs):
+        built.append(parser)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers",
+                        counting_add_subparsers)
+    cfg_path = write_config(tmp_path / "small.cfg", """\
+        [signal]
+        kind = constant
+        [noise]
+        family = gg
+        [quantizer]
+        cdelta = 0.69
+        [run]
+        replications = 8
+        horizon = 20
+        """)
+    design = ["design", "--noise", "st", "--beta", "2.5", "--nbits", "2"]
+    cli.build_parser.cache_clear()
+    try:
+        assert main(design + ["--out", str(tmp_path / "a")]) == 0
+        assert main(["loss-table", "--noises", "gg:2", "--nbits", "1,2",
+                     "--out", str(tmp_path / "loss")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--noise", "gauss", "--beta", "2", "--nbits", "2"])
+        assert exc.value.code == 2
+        assert main(["simulate", "--config", cfg_path,
+                     "--out", str(tmp_path / "sim")]) == 0
+        assert main(design + ["--out", str(tmp_path / "b")]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    assert "--noise" in capsys.readouterr().err
+    name = "design_st2.5_nb2.txt"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert (tmp_path / "loss" / "loss_table.csv").exists()
+    assert (tmp_path / "sim" / "small.csv").exists()

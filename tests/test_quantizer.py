@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.integrate import quad
 
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
+    MAX_NBITS,
     MIN_INTERVAL_MASS,
     DesignError,
     QuantizerSpec,
@@ -38,6 +41,17 @@ def test_spec_validation():
         QuantizerSpec(2, (1.0,), 1.0)  # last threshold finite
     with pytest.raises(ValueError):
         QuantizerSpec(2, (math.inf,), -1.0)
+
+
+def test_spec_refuses_more_than_max_nbits():
+    n = 2 ** (MAX_NBITS + 1)
+    with pytest.raises(ValueError, match="MAX_NBITS"):
+        QuantizerSpec.uniform(n, 1.0)
+    with pytest.raises(ValueError, match="MAX_NBITS"):
+        QuantizerSpec(n, tuple(range(1, n // 2)) + (math.inf,), 1.0)
+    with pytest.raises(ValueError, match="MAX_NBITS"):
+        optimize_cdelta(gg(2.0), n)
+    assert QuantizerSpec.uniform(2 ** MAX_NBITS, 1.0).nbits == MAX_NBITS
 
 
 def test_uniform_constructor():
@@ -145,8 +159,8 @@ def test_information_increases_with_resolution(family, beta):
     m = gg(beta) if family == "gg" else st(beta)
     infos = []
     for nbits in range(1, 6):
-        c, info = optimize_cdelta(m, 2 ** nbits)
-        infos.append(info)
+        _, design = optimize_cdelta(m, 2 ** nbits)
+        infos.append(design.info)
     assert np.all(np.diff(infos) > -1e-12)
     assert infos[-1] <= m.fisher_continuous() + 1e-12
 
@@ -161,14 +175,15 @@ def test_laplace_information_flat_in_step():
         probs, drops = spec_stats(m, spec)
         vals.append(fisher_quantized(probs, drops))
     np.testing.assert_allclose(vals, 1.0, rtol=1e-12)
-    c, info = optimize_cdelta(m, 4)
+    c, design = optimize_cdelta(m, 4)
     assert c == 0.01  # flat profile resolves to the smallest grid point
-    assert info == pytest.approx(1.0, rel=1e-12)
+    assert design.info == pytest.approx(1.0, rel=1e-12)
 
 
 def test_optimize_cdelta_gauss_two_bits():
     m = gg(2.0)
-    c, info = optimize_cdelta(m, 4)
+    c, design = optimize_cdelta(m, 4)
+    info = design.info
     # interior optimum: neighbors on the grid are no better
     for other in [c - 0.01, c + 0.01]:
         spec = QuantizerSpec.uniform(4, other)
@@ -197,10 +212,10 @@ def reference_search(model, n_intervals, grid):
 
 
 def assert_search_matches_loop(model, n_intervals, grid):
-    c, info = optimize_cdelta(model, n_intervals, grid)
+    c, design = optimize_cdelta(model, n_intervals, grid)
     ref_c, ref_infos, ref_degenerate = reference_search(model, n_intervals, grid)
     assert c == ref_c
-    assert info == pytest.approx(ref_infos[ref_c], rel=1e-13)
+    assert design.info == pytest.approx(ref_infos[ref_c], rel=1e-13)
     values = np.round(np.arange(grid[0], grid[1] + grid[2] / 2, grid[2]), 12)
     tau = QuantizerSpec.uniform(n_intervals, 1.0).finite_tau
     probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
@@ -231,11 +246,34 @@ def test_batched_search_degenerate_upper_end():
         optimize_cdelta(gg(2.0), 8, (10.0, 30.0, 0.5))
 
 
+def assert_search_design_is_built_design(model, n_intervals):
+    """The search's design is, bit for bit, the design built from the spec
+    it names (the one ``simulate`` builds), and its arrays own their data."""
+    c_delta, design = optimize_cdelta(model, n_intervals)
+    built = build_design(model, QuantizerSpec.uniform(n_intervals, c_delta))
+    for name in ("probs", "drops", "levels", "thresholds"):
+        array = getattr(design, name)
+        assert np.array_equal(array, getattr(built, name)), name
+        assert array.base is None and array.flags.owndata, name
+    assert design.info == built.info
+    assert design.step == built.step
+
+
+@settings(max_examples=60, deadline=None)
+@given(hs.sampled_from(Family), hs.floats(0.5, 10.0), hs.floats(0.1, 10.0),
+       hs.integers(1, 5))
+def test_search_design_is_the_built_design(family, beta, delta, nbits):
+    assert_search_design_is_built_design(NoiseModel(family, beta, delta), 2 ** nbits)
+
+
 def test_search_value_is_the_design_value():
     for family, beta in STANDARD_SHAPES:
         m = NoiseModel(family, beta)
+        assert_search_design_is_built_design(m, 8)
         spec, design = design_uniform(m, 8)
-        assert design.info == optimize_cdelta(m, 8)[1]
+        c_delta, searched = optimize_cdelta(m, 8)
+        assert spec == QuantizerSpec.uniform(8, c_delta)
+        assert design.info == searched.info
 
 
 def test_build_design_consistency():
@@ -252,9 +290,9 @@ def test_build_design_consistency():
 def test_design_uniform_picks_optimum():
     m = gg(2.0)
     spec, design = design_uniform(m, 4)
-    c_best, info_best = optimize_cdelta(m, 4)
+    c_best, best = optimize_cdelta(m, 4)
     assert spec.c_delta == c_best
-    assert design.info == pytest.approx(info_best, rel=1e-14)
+    assert design.info == pytest.approx(best.info, rel=1e-14)
 
 
 def test_design_error_for_degenerate_intervals():
