@@ -14,27 +14,18 @@ from .quantizer import QuantizerDesign, mean_field
 # ---- quantization losses in dB ---------------------------------------
 
 
-def loss_constant_db(iq: float, ic: float) -> float:
-    """dB penalty of quantized vs continuous estimation of a constant."""
-    if not (iq > 0 and ic > 0 and math.isfinite(iq) and math.isfinite(ic)):
-        raise ValueError(f"information values must be positive finite, got {iq}, {ic}")
-    return -10.0 * math.log10(iq / ic)
-
-
-def loss_wiener_db(iq: float, ic: float) -> float:
-    """Loss when tracking a Wiener process: half the constant-case loss."""
-    return 0.5 * loss_constant_db(iq, ic)
-
-
-def loss_drift_db(iq: float, ic: float) -> float:
-    """Loss when tracking a drifting Wiener process: two thirds of the constant-case loss."""
-    return (2.0 / 3.0) * loss_constant_db(iq, ic)
+#: share of the constant-parameter loss paid when tracking each signal model
+LOSS_SHARE = {SignalKind.CONSTANT: 1.0, SignalKind.WIENER: 0.5,
+              SignalKind.WIENER_DRIFT: 2.0 / 3.0}
 
 
 def loss_db(kind, iq: float, ic: float) -> float:
-    """Loss for the signal model ``kind`` (a SignalKind or its value)."""
-    loss = {SignalKind.WIENER: loss_wiener_db, SignalKind.WIENER_DRIFT: loss_drift_db}
-    return loss.get(SignalKind(kind), loss_constant_db)(iq, ic)
+    """dB penalty of quantized vs continuous estimation under the signal
+    model ``kind`` (a SignalKind or its value): its ``LOSS_SHARE`` of
+    -10 log10(iq / ic), the loss for a constant parameter."""
+    if not (iq > 0 and ic > 0 and math.isfinite(iq) and math.isfinite(ic)):
+        raise ValueError(f"information values must be positive finite, got {iq}, {ic}")
+    return LOSS_SHARE[SignalKind(kind)] * (-10.0 * math.log10(iq / ic))
 
 
 # ---- Cramer-Rao and Bayesian Cramer-Rao bounds ------------------------
@@ -82,10 +73,6 @@ class PerformancePrediction:
     """Asymptotic MSE for an information value: theory at I_q, loss baseline at I_c."""
 
     info: float
-
-    @property
-    def sigma_inf_sq(self) -> float:
-        return 1.0 / self.info
 
     def var_constant(self, k):
         return crb_continuous(self.info, k)
@@ -195,19 +182,16 @@ class StabilityReport:
     violations: list = field(default_factory=list)  # (eps, h, lyapunov derivative)
 
 
-def check_stability(model: NoiseModel, design: QuantizerDesign,
-                    eps_grid=None) -> StabilityReport:
+def check_stability(model: NoiseModel, design: QuantizerDesign) -> StabilityReport:
     """Verify the mean field vanishes at zero error and opposes the error.
 
     The second condition is equivalent to a negative quadratic-Lyapunov
     derivative 2 * eps * gamma * mean_field(eps) away from zero, which is
-    what is checked (gamma > 0 cancels).
+    what is checked (gamma > 0 cancels), on 201 points spanning +-10 delta.
     """
-    if eps_grid is None:
-        eps_grid = np.linspace(-10.0 * model.delta, 10.0 * model.delta, 201)
     h0 = mean_field(model, design, 0.0)
     violations = []
-    for eps in np.asarray(eps_grid, dtype=float):
+    for eps in np.linspace(-10.0 * model.delta, 10.0 * model.delta, 201):
         if eps == 0.0:
             continue
         h = mean_field(model, design, float(eps))

@@ -52,6 +52,15 @@ def _grid_from_args(args):
     return (args.grid_min, args.grid_max, args.grid_step)
 
 
+def _intervals(nbits: int, name: str) -> int:
+    """2**nbits, once the bit count ``name`` is known to be in 1..MAX_NBITS
+    (a huge count would build a huge integer first)."""
+    if not 1 <= nbits <= MAX_NBITS:
+        raise ValueError(f"{name} must be >= 1 and <= MAX_NBITS = {MAX_NBITS}, "
+                         f"got {nbits}")
+    return 2**nbits
+
+
 def _write_manifest(out_dir: Path, name: str, entries: dict) -> None:
     lines = [f"version = {__version__}"]
     lines += [f"{k} = {v}" for k, v in sorted(entries.items())]
@@ -62,12 +71,12 @@ def _write_manifest(out_dir: Path, name: str, entries: dict) -> None:
 
 
 def cmd_design(args) -> int:
-    n_intervals = 2**args.nbits
+    n_intervals = _intervals(args.nbits, "--nbits")
     grid = _grid_from_args(args)
     model = NoiseModel(Family(args.noise), args.beta, args.delta)
     ic = model.fisher_continuous()
     spec, design = design_uniform(model, n_intervals, grid)
-    lq = analysis.loss_constant_db(design.info, ic)
+    lq = analysis.loss_db(SignalKind.CONSTANT, design.info, ic)
     print(f"noise       : {model.family.value} beta={model.beta} delta={model.delta}")
     print(f"n_intervals : {n_intervals} (nbits={args.nbits})")
     print(f"c_delta*    : {_fmt(spec.c_delta)}")
@@ -100,12 +109,13 @@ def _parse_noises(text):
 
 def _loss_rows(noises, nbits_list, grid=DEFAULT_CDELTA_GRID, delta=1.0):
     """CSV lines (header first) of the three losses per noise and bit count."""
+    sizes = [(nb, _intervals(nb, "--nbits")) for nb in nbits_list]
     rows = ["family,beta,nbits,c_delta,iq,lq_db,lq_wiener_db,lq_drift_db"]
     for fam, beta in noises:
         model = NoiseModel(Family(fam), beta, delta)
         ic = model.fisher_continuous()
-        for nb in nbits_list:
-            c_delta, design = optimize_cdelta(model, 2**nb, grid)
+        for nb, n_intervals in sizes:
+            c_delta, design = optimize_cdelta(model, n_intervals, grid)
             losses = [analysis.loss_db(kind, design.info, ic) for kind in SignalKind]
             rows.append(",".join([fam, _fmt(beta), str(nb), _fmt(c_delta),
                                   _fmt(design.info)]
@@ -189,14 +199,11 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
            **sections.get("quantizer", {})}
     spec = None
     if qua["mode"] == "quantized":
-        nbits = qua["nbits"]
-        if not 1 <= nbits <= MAX_NBITS:
-            raise ValueError(f"{path}: [quantizer] nbits must be >= 1 and "
-                             f"<= MAX_NBITS = {MAX_NBITS}, got {nbits}")
-        cdelta = qua["cdelta"]
-        if cdelta is None:
-            cdelta, _ = optimize_cdelta(noise, 2**nbits)
-        spec = QuantizerSpec.uniform(2**nbits, cdelta)
+        n_intervals = _intervals(qua["nbits"], f"{path}: [quantizer] nbits")
+        if qua["cdelta"] is None:
+            spec, _ = design_uniform(noise, n_intervals)
+        else:
+            spec = QuantizerSpec.uniform(n_intervals, qua["cdelta"])
     elif qua["mode"] != "continuous":
         mode = qua["mode"]
         raise ValueError(f"{path}: [quantizer] mode = {mode!r}: "
@@ -255,10 +262,9 @@ def cmd_figures(args) -> int:
     def run(signal, noise, nbits, **settings):
         """The c_delta-searched quantized run, the drift estimate started at
         the true drift."""
-        cdelta, _ = optimize_cdelta(noise, 2**nbits)
-        cfg = ExperimentConfig(signal, noise, QuantizerSpec.uniform(2**nbits, cdelta),
-                               replications=args.replications, seed=args.seed,
-                               drift_initial=None, **settings)
+        spec, _ = design_uniform(noise, 2**nbits)
+        cfg = ExperimentConfig(signal, noise, spec, replications=args.replications,
+                               seed=args.seed, drift_initial=None, **settings)
         if cfg not in results:
             results[cfg] = run_experiment(cfg)
         return results[cfg]

@@ -120,7 +120,8 @@ def step_quantized(state: EstimatorState, y: float, design: QuantizerDesign,
     """Advance the estimate by one quantized observation.
 
     The quantizer offset is the previous estimate.  The cell edges are
-    ``design.thresholds``, i.e. ``spec`` already scaled by the design step.
+    ``design.thresholds``, i.e. ``spec.tau * spec.c_delta * delta``; only
+    the design is read, and ``spec`` names the quantizer it was built from.
     """
     if not math.isfinite(y):
         raise ValueError(f"observation must be finite, got {y}")

@@ -147,17 +147,12 @@ class NoiseModel:
             info_n = (b + 1.0) / (b + 3.0)
         return info_n / self.delta**2
 
-    def sample(self, rng: np.random.Generator, size=None, out=None):
+    def sample(self, rng: np.random.Generator, size=None):
         """Draw ``size`` i.i.d. samples (one float when ``size`` is None):
-        the one-row case of ``sample_block``, with the same bits.
-
-        ``out``, a float64 array of length ``size``, receives the samples
-        and is returned.  Draws split into pieces give the same values as
-        drawn in one piece.
+        the one-row case of ``sample_block``, with the same bits.  Draws
+        split into pieces give the same values as drawn in one piece.
         """
-        n = 1 if size is None else size
-        if out is None:
-            out = np.empty(n)
+        out = np.empty(1 if size is None else size)
         self.sample_block([rng], out[np.newaxis])
         return float(out[0]) if size is None else out
 

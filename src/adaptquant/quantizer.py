@@ -1,11 +1,11 @@
 """Symmetric adjustable quantizer and its information-optimal design.
 
 The quantizer maps y - offset onto a signed integer symbol, its cell among
-the edges tau * step; the static threshold grid is symmetric with no zero
-symbol.  A design for a given noise model consists of the per-interval
-probabilities, the density drops across interval edges, the optimal output
-levels (drop/probability ratios) and the Fisher information carried by one
-quantized observation.
+the edges tau * c_delta * delta; the static threshold grid is symmetric
+with no zero symbol.  A design for a given noise model consists of the
+per-interval probabilities, the density drops across interval edges, the
+optimal output levels (drop/probability ratios) and the Fisher information
+carried by one quantized observation.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ MAX_NBITS = 10
 
 
 def _check_size(n_intervals: int) -> None:
+    if n_intervals < 2 or n_intervals & (n_intervals - 1):  # nbits names the quantizer
+        raise ValueError(f"n_intervals must be a power of two >= 2, got {n_intervals}")
     if n_intervals > 2**MAX_NBITS:
         raise ValueError(f"n_intervals must be <= 2**MAX_NBITS = {2**MAX_NBITS} "
                          f"({MAX_NBITS} bits), got {n_intervals}")
@@ -41,48 +43,42 @@ def _check_size(n_intervals: int) -> None:
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Static quantizer geometry: interval count 2**nbits and normalized thresholds.
+    """Static quantizer geometry: normalized thresholds and the step constant.
 
-    ``tau`` holds the positive-side thresholds tau_1 < ... < tau_{N/2},
-    with tau_{N/2} = +inf and tau_0 = 0 implicit; the negative side is the
-    mirror image.
+    ``tau`` holds the finite positive-side thresholds tau_1 < ... <
+    tau_{N/2-1}, empty at 1 bit; tau_0 = 0 and the outer edge +inf are
+    implicit, and the negative side is the mirror image.  The cell edges
+    are ``tau * c_delta * delta``; the quantizer has N = 2 * len(tau) + 2
+    intervals, a power of two.
     """
 
-    n_intervals: int
     tau: tuple
     c_delta: float
 
     def __post_init__(self):
-        n = self.n_intervals
-        if n < 2 or n & (n - 1):  # nbits names the quantizer
-            raise ValueError(f"n_intervals must be a power of two >= 2, got {n}")
-        _check_size(n)
         tau = tuple(float(t) for t in self.tau)
         object.__setattr__(self, "tau", tau)
-        if len(tau) != n // 2:
-            raise ValueError(f"expected {n // 2} thresholds, got {len(tau)}")
-        if not math.isinf(tau[-1]):
-            raise ValueError("last threshold must be +inf")
-        if any(t <= 0 for t in tau) or any(a >= b for a, b in zip(tau, tau[1:])):
-            raise ValueError("thresholds must be positive and strictly increasing")
+        _check_size(self.n_intervals)
+        if not all(0.0 < t < math.inf for t in tau) or any(
+                a >= b for a, b in zip(tau, tau[1:])):
+            raise ValueError(
+                f"thresholds must be finite, positive and strictly increasing, got {tau}")
         if not (self.c_delta > 0.0 and math.isfinite(self.c_delta)):
             raise ValueError(f"c_delta must be positive, got {self.c_delta}")
 
     @classmethod
     def uniform(cls, n_intervals: int, c_delta: float) -> "QuantizerSpec":
-        """Unit-spaced thresholds 1, 2, ..., N/2 - 1 plus the infinite edge."""
+        """Unit-spaced thresholds 1, 2, ..., N/2 - 1."""
         _check_size(n_intervals)  # before the tuple is sized by it
-        half = n_intervals // 2
-        tau = tuple(float(i) for i in range(1, half)) + (math.inf,)
-        return cls(n_intervals, tau, c_delta)
+        return cls(tuple(float(i) for i in range(1, n_intervals // 2)), c_delta)
+
+    @property
+    def n_intervals(self) -> int:
+        return 2 * len(self.tau) + 2
 
     @property
     def nbits(self) -> int:
-        return int(round(math.log2(self.n_intervals)))
-
-    @property
-    def finite_tau(self) -> np.ndarray:
-        return np.asarray(self.tau[:-1])
+        return self.n_intervals.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -93,28 +89,26 @@ class QuantizerDesign:
     drops[i]  : density drop across that interval's edges
     levels[i] : output level for symbol i+1 (odd-extended to the negative side)
     info      : Fisher information of one quantized observation
-    step      : input step, c_delta * delta
-    thresholds: finite positive cell edges, tau[:-1] * step
+    thresholds: finite positive cell edges, tau * c_delta * delta
     """
 
     probs: np.ndarray
     drops: np.ndarray
     levels: np.ndarray
     info: float
-    step: float
     thresholds: np.ndarray
 
 
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     """Quantize one observation to a signed symbol in {-N/2..-1, +1..+N/2}.
 
-    The cell edges are ``spec.finite_tau * step``, i.e. ``design.thresholds``
-    as ``estimator.direction`` reads them.  The tie y == offset maps to +1
-    (a probability-zero event under a continuous noise density) so output
-    is deterministic and never 0.
+    The cell edges are ``spec.tau * step``; with the step c_delta * delta
+    they are ``design.thresholds``, as ``estimator.direction`` reads them.
+    The tie y == offset maps to +1 (a probability-zero event under a
+    continuous noise density) so output is deterministic and never 0.
     """
     diff = y - offset
-    mag = int(np.searchsorted(spec.finite_tau * step, abs(diff), side="right")) + 1
+    mag = int(np.searchsorted(np.asarray(spec.tau) * step, abs(diff), side="right")) + 1
     return mag if diff >= 0.0 else -mag
 
 
@@ -163,16 +157,15 @@ def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
     return float(info) if info.ndim == 0 else info
 
 
-def _design(probs, drops, step: float, thresholds) -> QuantizerDesign:
+def _design(probs, drops, thresholds) -> QuantizerDesign:
     """The design of one row of cell masses and density drops."""
     return QuantizerDesign(probs, drops, optimal_levels(probs, drops),
-                           fisher_quantized(probs, drops), step, thresholds)
+                           fisher_quantized(probs, drops), thresholds)
 
 
 def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
-    step = spec.c_delta * model.delta
-    thresholds = spec.finite_tau * step
-    return _design(*interval_stats(model, thresholds), step, thresholds)
+    thresholds = np.asarray(spec.tau) * (spec.c_delta * model.delta)
+    return _design(*interval_stats(model, thresholds), thresholds)
 
 
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -196,7 +189,7 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
-    tau = QuantizerSpec.uniform(n_intervals, lo).finite_tau
+    tau = np.asarray(QuantizerSpec.uniform(n_intervals, lo).tau)
     probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
     valid = ~_degenerate(probs)
     if not valid.any():
@@ -209,9 +202,9 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
         best = 0
     row = np.flatnonzero(valid)[best]
     c_delta = float(values[row])
-    step = c_delta * model.delta  # as build_design forms it
     # copies, so the design does not hold the whole grid matrix alive
-    return c_delta, _design(probs[row].copy(), drops[row].copy(), step, tau * step)
+    return c_delta, _design(probs[row].copy(), drops[row].copy(),
+                            tau * (c_delta * model.delta))  # as build_design forms it
 
 
 def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -260,14 +253,13 @@ def mean_field_slope(design: QuantizerDesign) -> float:
 def save_design(path, model: NoiseModel, spec: QuantizerSpec,
                 design: QuantizerDesign) -> None:
     """Persist a design as a key = value table (full float precision)."""
-    finite = ",".join(repr(t) for t in spec.tau[:-1])
     lines = [
         f"family = {model.family.value}",
         f"beta = {model.beta!r}",
         f"delta = {model.delta!r}",
         f"n_intervals = {spec.n_intervals}",
         f"c_delta = {spec.c_delta!r}",
-        f"tau = {finite}",
+        f"tau = {','.join(repr(t) for t in spec.tau)}",
         f"eta = {','.join(repr(float(v)) for v in design.levels)}",
         f"iq = {float(design.info)!r}",
     ]
@@ -295,13 +287,16 @@ def load_design(path):
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
     model = NoiseModel(Family(kv["family"]), float(kv["beta"]), float(kv["delta"]))
-    n = int(kv["n_intervals"])
-    finite = tuple(float(t) for t in kv["tau"].split(",") if t)
-    spec = QuantizerSpec(n, finite + (math.inf,), float(kv["c_delta"]))
+    spec = QuantizerSpec(tuple(float(t) for t in kv["tau"].split(",") if t),
+                         float(kv["c_delta"]))
+    if int(kv["n_intervals"]) != spec.n_intervals:
+        raise ValueError(f"n_intervals = {kv['n_intervals']} does not match the "
+                         f"{len(spec.tau)} thresholds of tau")
     design = build_design(model, spec)
     levels = np.array([float(v) for v in kv["eta"].split(",")])
     if levels.shape != design.levels.shape or not np.all(np.isfinite(levels)):
-        raise ValueError(f"eta must hold {n // 2} finite levels, got {kv['eta']!r}")
+        raise ValueError(f"eta must hold {spec.n_intervals // 2} finite levels, "
+                         f"got {kv['eta']!r}")
     if np.any(np.abs(levels - design.levels) > LOAD_RTOL * np.abs(design.levels)):
         raise ValueError(f"eta {kv['eta']!r} does not match the levels "
                          f"{design.levels.tolist()} of the table's geometry")

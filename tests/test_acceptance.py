@@ -17,9 +17,7 @@ from adaptquant.analysis import (
     bcrb_asymptotic_approx,
     bcrb_recursion,
     check_stability,
-    loss_constant_db,
-    loss_drift_db,
-    loss_wiener_db,
+    loss_db,
     ode_mean_trajectory,
     sigma_inf_general,
 )
@@ -78,7 +76,7 @@ def test_criterion_02_one_bit_gaussian_anchor():
     probs, drops = interval_stats(m, np.array([]))  # 1 bit: no finite edge
     iq = fisher_quantized(probs, drops)
     ratio = m.fisher_continuous() / iq
-    lq = loss_constant_db(iq, m.fisher_continuous())
+    lq = loss_db(SignalKind.CONSTANT, iq, m.fisher_continuous())
     ok = abs(ratio - math.pi / 2.0) <= 1e-9 and abs(lq - 1.9612) <= 1e-3
     report(2, ok, f"ratio {ratio:.12f}, loss {lq:.5f} dB")
 
@@ -125,7 +123,7 @@ def test_criterion_04_loss_table_ranges():
         losses = []
         for nbits in range(1, 6):
             _, design = optimize_cdelta(m, 2 ** nbits)
-            losses.append(loss_constant_db(design.info, ic))
+            losses.append(loss_db(SignalKind.CONSTANT, design.info, ic))
         key = f"{family.value}{beta:g}"
         one_bit[key] = losses[0]
         two_bit[key] = losses[1]

@@ -14,10 +14,7 @@ from adaptquant.analysis import (
     check_stability,
     crb_continuous,
     increment_variance,
-    loss_constant_db,
     loss_db,
-    loss_drift_db,
-    loss_wiener_db,
     mean_field_slope_general,
     mse_drift_tradeoff,
     ode_mean_trajectory,
@@ -32,26 +29,32 @@ from adaptquant.quantizer import design_uniform, mean_field
 def test_loss_anchors_one_bit_gaussian():
     iq = 4.0 / math.pi
     ic = 2.0
-    lq = loss_constant_db(iq, ic)
+    lq = loss_db(SignalKind.CONSTANT, iq, ic)
     assert lq == pytest.approx(10.0 * math.log10(math.pi / 2.0), rel=1e-12)
     assert lq == pytest.approx(1.9612, abs=5e-5)
-    assert loss_wiener_db(iq, ic) == pytest.approx(lq / 2.0, rel=1e-12)
-    assert loss_drift_db(iq, ic) == pytest.approx(2.0 * lq / 3.0, rel=1e-12)
+    assert loss_db(SignalKind.WIENER, iq, ic) == pytest.approx(lq / 2.0, rel=1e-12)
+    assert loss_db(SignalKind.WIENER_DRIFT, iq, ic) == pytest.approx(2.0 * lq / 3.0,
+                                                                     rel=1e-12)
 
 
 def test_loss_db_per_signal_kind():
+    """The constant-case loss, scaled by 1, 1/2 or 2/3: the bits of the
+    product, whether the kind is a SignalKind or its value."""
     iq, ic = 4.0 / math.pi, 2.0
-    assert loss_db("constant", iq, ic) == loss_constant_db(iq, ic)
-    assert loss_db("wiener", iq, ic) == loss_wiener_db(iq, ic)
-    assert loss_db(SignalKind.WIENER_DRIFT, iq, ic) == loss_drift_db(iq, ic)
+    lq = -10.0 * math.log10(iq / ic)
+    assert loss_db("constant", iq, ic) == lq
+    assert loss_db("wiener", iq, ic) == 0.5 * lq
+    assert loss_db(SignalKind.WIENER_DRIFT, iq, ic) == (2.0 / 3.0) * lq
     with pytest.raises(ValueError):
         loss_db("sine", iq, ic)
+    for bad in [(0.0, ic), (iq, -1.0), (math.nan, ic), (iq, math.inf)]:
+        with pytest.raises(ValueError, match="positive finite"):
+            loss_db(SignalKind.WIENER, *bad)
 
 
 def test_loss_zero_when_no_information_is_lost():
-    assert loss_constant_db(1.0, 1.0) == 0.0
-    assert loss_wiener_db(1.0, 1.0) == 0.0
-    assert loss_drift_db(1.0, 1.0) == 0.0
+    for kind in SignalKind:
+        assert loss_db(kind, 1.0, 1.0) == 0.0
 
 
 def test_crb_continuous():
@@ -89,7 +92,7 @@ def test_bcrb_approx_close_for_slow_parameter():
 
 def test_performance_prediction():
     p = PerformancePrediction(info=4.0 / math.pi)
-    assert p.sigma_inf_sq == pytest.approx(math.pi / 4.0, rel=1e-14)
+    assert p.var_constant(1) == pytest.approx(math.pi / 4.0, rel=1e-14)
     assert p.var_constant(100) == pytest.approx(math.pi / 400.0, rel=1e-14)
     assert p.mse_wiener(0.1) == pytest.approx(0.1 / math.sqrt(4.0 / math.pi),
                                               rel=1e-14)
@@ -185,7 +188,7 @@ def test_stability_detects_sign_flip():
     m = gg(2.0)
     _, design = design_uniform(m, 4)
     broken = QuantizerDesign(design.probs, design.drops, -design.levels,
-                             design.info, design.step, design.thresholds)
+                             design.info, design.thresholds)
     report = check_stability(m, broken)
     assert not report.passed
     assert len(report.violations) > 0

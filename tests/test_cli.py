@@ -550,13 +550,17 @@ def test_simulate_rejects_unusable_input_before_writing(tmp_path, capsys, text, 
 @pytest.mark.parametrize("argv", [
     ["design", "--noise", "gg", "--beta", "2", "--nbits", str(MAX_NBITS + 1)],
     ["loss-table", "--noises", "gg:2", "--nbits", f"2,{MAX_NBITS + 1}"],
-], ids=["design", "loss-table"])
+    ["design", "--noise", "gg", "--beta", "2", "--nbits", "20000"],
+    ["loss-table", "--noises", "gg:2", "--nbits", "2,20000"],
+], ids=["design", "loss-table", "design_20000", "loss-table_20000"])
 def test_more_bits_than_max_nbits_is_one_error(tmp_path, capsys, argv):
+    """Checked before 2**nbits is formed: 2**20000 has more digits than
+    Python converts to a string."""
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "MAX_NBITS" in err
+    assert f"--nbits must be >= 1 and <= MAX_NBITS = {MAX_NBITS}, got " in err
     assert not out.exists()
 
 

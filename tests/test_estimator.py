@@ -102,8 +102,9 @@ def test_step_quantized_update_magnitudes(gauss_design):
     schedule = GainSchedule(ScheduleKind.CONSTANT, design.info)
     state = EstimatorState(0.0, k=4)  # next update index is 5
     g = gain(schedule, 5)
-    inner = step_quantized(state, 0.5 * design.step, design, spec, schedule)
-    outer = step_quantized(state, 10.0 * design.step, design, spec, schedule)
+    step = spec.c_delta * m.delta  # the first cell edge
+    inner = step_quantized(state, 0.5 * step, design, spec, schedule)
+    outer = step_quantized(state, 10.0 * step, design, spec, schedule)
     assert inner.x_hat == pytest.approx(g * design.levels[0], rel=1e-14)
     assert outer.x_hat == pytest.approx(g * design.levels[-1], rel=1e-14)
 
@@ -176,8 +177,9 @@ def test_schedule_kind_is_the_signal_kind():
 def test_direction_on_floats_and_arrays(gauss_design):
     m, spec, design = gauss_design
     thr, levels = design.thresholds, design.levels
-    np.testing.assert_array_equal(thr, spec.finite_tau * design.step)
-    diffs = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, 3.0]) * design.step
+    step = spec.c_delta * m.delta
+    np.testing.assert_array_equal(thr, np.asarray(spec.tau) * step)
+    diffs = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, 3.0]) * step
     expected = [-levels[-1], -levels[0], levels[0], levels[0], levels[0], levels[-1]]
     assert [direction(float(d), thr, levels) for d in diffs] == expected
     np.testing.assert_array_equal(direction(diffs, thr, levels), expected)

@@ -147,11 +147,11 @@ def test_direction_is_odd(cached_design, model, nbits, ratios):
 def test_quantize_cell_is_direction_cell(cached_design, model, nbits, offset):
     """At every cell edge and its float neighbours, the symbol of
     ``quantize`` names the level that ``direction`` applies."""
-    _, spec, design = cached_design(model.family, model.beta, nbits, model.delta)
+    model, spec, design = cached_design(model.family, model.beta, nbits, model.delta)
     edges, levels = design.thresholds, design.levels
     for t in edges:
         for mag in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)):
             for y in (offset + mag, offset - mag):
-                sym = quantize(y, offset, spec, design.step)
+                sym = quantize(y, offset, spec, spec.c_delta * model.delta)
                 assert np.sign(sym) * levels[abs(sym) - 1] == direction(
                     y - offset, edges, levels)

@@ -29,18 +29,22 @@ from adaptquant.quantizer import (
 
 
 def test_spec_validation():
-    QuantizerSpec(2, (math.inf,), 1.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(3, (math.inf,), 1.0)  # odd interval count
-    for n in (6, 12):  # log2 would label them 3 and 4 bits
+    assert QuantizerSpec((), 1.0).n_intervals == 2
+    with pytest.raises(ValueError, match="power of two"):
+        QuantizerSpec((1.0, 2.0), 1.0)  # six intervals
+    for n in (3, 6, 12):  # log2 would label 6 and 12 as 3 and 4 bits
         with pytest.raises(ValueError, match="power of two"):
             QuantizerSpec.uniform(n, 1.0)
-    with pytest.raises(ValueError):
-        QuantizerSpec(4, (2.0, 1.0), 1.0)  # not increasing
-    with pytest.raises(ValueError):
-        QuantizerSpec(2, (1.0,), 1.0)  # last threshold finite
-    with pytest.raises(ValueError):
-        QuantizerSpec(2, (math.inf,), -1.0)
+    for tau in [(2.0, 1.0, 3.0),                  # not increasing
+                (1.0, 1.0, 3.0),                  # repeated
+                (0.0,), (-1.0,),                  # not positive
+                (math.nan,), (math.inf,),         # not finite
+                (1.0, math.nan, 3.0), (1.0, 2.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite, positive and strictly increasing"):
+            QuantizerSpec(tau, 1.0)
+    for c_delta in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c_delta"):
+            QuantizerSpec((), c_delta)
 
 
 def test_spec_refuses_more_than_max_nbits():
@@ -48,7 +52,7 @@ def test_spec_refuses_more_than_max_nbits():
     with pytest.raises(ValueError, match="MAX_NBITS"):
         QuantizerSpec.uniform(n, 1.0)
     with pytest.raises(ValueError, match="MAX_NBITS"):
-        QuantizerSpec(n, tuple(range(1, n // 2)) + (math.inf,), 1.0)
+        QuantizerSpec(tuple(range(1, n // 2)), 1.0)
     with pytest.raises(ValueError, match="MAX_NBITS"):
         optimize_cdelta(gg(2.0), n)
     assert QuantizerSpec.uniform(2 ** MAX_NBITS, 1.0).nbits == MAX_NBITS
@@ -56,13 +60,12 @@ def test_spec_refuses_more_than_max_nbits():
 
 def test_uniform_constructor():
     s = QuantizerSpec.uniform(8, 0.5)
+    assert s == QuantizerSpec((1.0, 2.0, 3.0), 0.5)
     assert s.n_intervals == 8
-    assert s.tau == (1.0, 2.0, 3.0, math.inf)
     assert s.nbits == 3
-    np.testing.assert_array_equal(s.finite_tau, [1.0, 2.0, 3.0])
     one_bit = QuantizerSpec.uniform(2, 2.0)
-    assert one_bit.tau == (math.inf,)
-    assert one_bit.finite_tau.size == 0
+    assert one_bit.tau == ()
+    assert (one_bit.n_intervals, one_bit.nbits) == (2, 1)
 
 
 def test_quantize_symbols():
@@ -77,7 +80,7 @@ def test_quantize_symbols():
 
 def spec_stats(model, spec):
     """interval_stats at the absolute edges of ``spec``, as build_design forms them."""
-    return interval_stats(model, spec.finite_tau * (spec.c_delta * model.delta))
+    return interval_stats(model, np.asarray(spec.tau) * (spec.c_delta * model.delta))
 
 
 def test_interval_stats_anchor_gg2_two_bits():
@@ -98,7 +101,7 @@ def test_interval_stats_against_quadrature(family, beta, nbits):
     spec = QuantizerSpec.uniform(2 ** nbits, 0.7)
     probs, drops = spec_stats(m, spec)
     step = spec.c_delta * m.delta
-    edges = [0.0] + [t * step for t in spec.tau]
+    edges = [0.0] + [t * step for t in spec.tau] + [math.inf]
     for i in range(spec.n_intervals // 2):
         mass = quad(m.pdf, edges[i], edges[i + 1], limit=200)[0]
         assert probs[i] == pytest.approx(mass, rel=1e-7)
@@ -217,7 +220,7 @@ def assert_search_matches_loop(model, n_intervals, grid):
     assert c == ref_c
     assert design.info == pytest.approx(ref_infos[ref_c], rel=1e-13)
     values = np.round(np.arange(grid[0], grid[1] + grid[2] / 2, grid[2]), 12)
-    tau = QuantizerSpec.uniform(n_intervals, 1.0).finite_tau
+    tau = np.asarray(QuantizerSpec.uniform(n_intervals, 1.0).tau)
     probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
     degenerate = np.any(probs < MIN_INTERVAL_MASS, axis=1)
     assert set(values[degenerate].tolist()) == ref_degenerate
@@ -256,7 +259,6 @@ def assert_search_design_is_built_design(model, n_intervals):
         assert np.array_equal(array, getattr(built, name)), name
         assert array.base is None and array.flags.owndata, name
     assert design.info == built.info
-    assert design.step == built.step
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +286,7 @@ def test_build_design_consistency():
     np.testing.assert_allclose(d.probs, probs)
     np.testing.assert_allclose(d.levels, drops / probs)
     assert d.info == pytest.approx(fisher_quantized(probs, drops), rel=1e-14)
-    assert d.step == pytest.approx(0.8 * m.delta)
+    assert d.thresholds.tolist() == [0.8 * m.delta]
 
 
 def test_design_uniform_picks_optimum():
@@ -312,7 +314,7 @@ def test_design_roundtrip(tmp_path):
     np.testing.assert_array_equal(design2.levels, design.levels)
     np.testing.assert_allclose(design2.probs, design.probs, rtol=1e-14)
     assert design2.info == design.info
-    assert design2.step == design.step
+    np.testing.assert_array_equal(design2.thresholds, design.thresholds)
 
 
 def edited_table(path, **changes):
@@ -349,6 +351,20 @@ def test_load_design_rejects_levels_and_info_off_the_geometry(tmp_path):
     assert loaded.info == design.info * (1 + 1e-12)
 
 
+def test_load_design_rejects_a_geometry_it_cannot_build(tmp_path):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    assert "tau = 1.0,2.0,3.0\n" in path.read_text()
+    for tau in ("nan", "1.0,nan,3.0", "1.0,2.0,inf", "3.0,2.0,1.0"):
+        with pytest.raises(ValueError, match="thresholds"):
+            load_design(edited_table(path, tau=tau))
+    for n in ("4", "16"):  # a power of two, but not 2 * 3 + 2
+        with pytest.raises(ValueError, match="n_intervals"):
+            load_design(edited_table(path, n_intervals=n))
+
+
 def test_mean_field_properties():
     m = gg(2.0)
     spec, design = design_uniform(m, 4)
@@ -370,7 +386,7 @@ def mean_field_by_cdf_pairs(model, design, spec, eps):
     def cdf(x):
         return (1.0 if x > 0 else 0.0) if math.isinf(x) else model.cdf(x)
 
-    edges = np.concatenate(([0.0], np.asarray(spec.tau))) * design.step
+    edges = np.concatenate(([0.0], spec.tau, [math.inf])) * (spec.c_delta * model.delta)
     total = 0.0
     for i, level in enumerate(design.levels):
         lo, hi = edges[i], edges[i + 1]

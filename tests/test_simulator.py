@@ -250,8 +250,7 @@ def test_all_replications_diverging_raises(monkeypatch):
     probs, drops = interval_stats(m, np.array([]))
     # absurd levels make the fixed-gain recursion blow up
     design = QuantizerDesign(probs, drops, np.array([1e9]),
-                             info=4.0 / math.pi, step=1.0,
-                             thresholds=np.array([]))
+                             info=4.0 / math.pi, thresholds=np.array([]))
     sig = SignalModel(SignalKind.WIENER, sigma_w=1.0)
     cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=20,
                       horizon=100, burn_in=10, seed=29)
