@@ -100,10 +100,16 @@ def cmd_design(args) -> int:
 
 
 def _parse_noises(text):
+    """(family, beta) pairs of ``--noises``, a comma list of family:beta."""
     out = []
     for item in text.split(","):
         fam, _, beta = item.strip().partition(":")
-        out.append((fam, float(beta)))
+        try:
+            out.append((Family(fam).value, float(beta)))
+        except ValueError:
+            families = " or ".join(f.value for f in Family)
+            raise ValueError(f"--noises item {item!r}: expected family:beta "
+                             f"with family {families}") from None
     return out
 
 

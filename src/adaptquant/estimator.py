@@ -79,9 +79,34 @@ def gain(schedule: GainSchedule, k: int, u_hat=0.0):
 
 
 def direction(diff, thresholds: np.ndarray, levels: np.ndarray):
-    """Signed output level of the cell of ``diff = y - x_hat``; 0 maps to +1."""
+    """Signed output level of the cell of ``diff = y - x_hat``; 0 maps to +1.
+
+    The cell of ``|diff|`` is the number of thresholds <= it.  A float
+    (Python or numpy) takes it from one ``searchsorted``.  An array takes it
+    from a binary search of fixed length: the 2**(b-1) - 1 sorted thresholds
+    of a b-bit quantizer need b - 1 rounds of "compare, then add ``half``",
+    and no round branches on the data, where ``searchsorted`` mispredicts on
+    random keys.  Both give the same cell for every finite or infinite key,
+    ties included; a NaN key lands in cell 0 of an array (the last cell of
+    a float).  Only a diverged replication produces one, and the engine
+    drops its errors; the scalar API rejects non-finite input.
+    """
     sign = (diff >= 0.0) * 2.0 - 1.0  # where(diff >= 0, 1, -1), cheap on a float
-    return sign * levels[thresholds.searchsorted(abs(diff), "right")]
+    # a float is the exact type, which isinstance accepts at once; testing
+    # for an ndarray would cost a float step about 80 ns more
+    if isinstance(diff, float):
+        return sign * levels[thresholds.searchsorted(abs(diff), "right")]
+    half = (len(thresholds) + 1) // 2
+    if not half:  # 1 bit: one cell
+        return sign * levels[0]
+    a = abs(diff)
+    cell = (a >= thresholds[half - 1]) * half
+    half //= 2
+    while half:
+        # thresholds[cell + half - 1], read through a view
+        cell += (thresholds[half - 1:].take(cell) <= a) * half
+        half //= 2
+    return sign * levels[cell]
 
 
 def advance(schedule: GainSchedule, k: int, x_hat, u_hat, direction):

@@ -286,6 +286,10 @@ def load_design(path):
                 continue
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
+    missing = [key for key in ("family", "beta", "delta", "n_intervals", "c_delta",
+                               "tau", "eta", "iq") if key not in kv]
+    if missing:
+        raise ValueError(f"{path}: design table lacks {', '.join(missing)}")
     model = NoiseModel(Family(kv["family"]), float(kv["beta"]), float(kv["delta"]))
     spec = QuantizerSpec(tuple(float(t) for t in kv["tau"].split(",") if t),
                          float(kv["c_delta"]))

@@ -94,6 +94,16 @@ def test_loss_table_command(tmp_path):
     assert float(row["lq_drift_db"]) == pytest.approx(2 * 1.9612 / 3, abs=5e-5)
 
 
+@pytest.mark.parametrize("noises", ["gg", "xx:2"])
+def test_loss_table_names_a_malformed_noises_item(tmp_path, capsys, noises):
+    out = tmp_path / "out"
+    assert main(["loss-table", "--noises", f"st:1,{noises}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --noises item {noises!r}: expected family:beta")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_loss_table_command_rejects_a_bad_grid(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["loss-table", "--grid-step", "-1", "--out", str(out)])

@@ -10,8 +10,8 @@ from hypothesis import strategies as hs
 from scipy import special as sps
 
 from adaptquant.estimator import direction
-from adaptquant.noise import Family, NoiseModel
-from adaptquant.quantizer import mean_field, quantize
+from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel
+from adaptquant.quantizer import MAX_NBITS, mean_field, quantize
 from adaptquant.special import (
     incomplete_beta_regularized,
     regularized_gamma_p,
@@ -140,6 +140,28 @@ def test_direction_is_odd(cached_design, model, nbits, ratios):
     assert direction(0.0, edges, levels) == levels[0]
     assert direction(np.zeros(2), edges, levels).tolist() == [levels[0]] * 2
 
+
+@settings(max_examples=80, deadline=None)
+@given(hs.sampled_from(STANDARD_SHAPES), hs.integers(1, MAX_NBITS),
+       hs.lists(reals, max_size=16))
+def test_array_direction_is_float_direction(cached_design, shape, nbits, others):
+    """The array path's fixed-round search finds the cell that
+    ``searchsorted`` finds, at every edge, its float neighbours and their
+    negatives, the signed zeros, the infinities and other keys, and it
+    applies the level that the float path applies."""
+    _, _, design = cached_design(*shape, nbits)
+    edges, levels = design.thresholds, design.levels
+    mags = np.concatenate([np.nextafter(edges, 0.0), edges,
+                           np.nextafter(edges, np.inf)])
+    keys = np.concatenate([mags, -mags, [0.0, -0.0, np.inf, -np.inf], others])
+    assert direction(keys, edges, levels).tolist() == [
+        direction(float(k), edges, levels) for k in keys]
+    # with level i + 1 in cell i, |direction| - 1 is the cell
+    ranks = np.arange(1.0, len(levels) + 1.0)
+    cells = np.abs(direction(keys, edges, ranks)) - 1.0
+    np.testing.assert_array_equal(cells, edges.searchsorted(np.abs(keys), "right"))
+    # a NaN key, from a diverged replication only, lands in cell 0
+    assert direction(np.array([np.nan]), edges, ranks).tolist() == [-1.0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -351,6 +351,21 @@ def test_load_design_rejects_levels_and_info_off_the_geometry(tmp_path):
     assert loaded.info == design.info * (1 + 1e-12)
 
 
+def test_load_design_names_a_missing_key(tmp_path):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    lines = path.read_text().splitlines()
+    keys = ["family", "beta", "delta", "n_intervals", "c_delta", "tau", "eta", "iq"]
+    assert [ln.partition(" =")[0] for ln in lines] == keys
+    for key in keys:
+        path.with_name("edited.txt").write_text(
+            "\n".join(ln for ln in lines if not ln.startswith(f"{key} =")) + "\n")
+        with pytest.raises(ValueError, match=f"design table lacks {key}$"):
+            load_design(path.with_name("edited.txt"))
+
+
 def test_load_design_rejects_a_geometry_it_cannot_build(tmp_path):
     m = gg(2.0)
     spec, design = design_uniform(m, 8)

@@ -4,6 +4,10 @@ The runs go through ``adaptquant.cli.main`` in a fresh temporary directory:
 
 * ``simulate`` on each ``configs/*.cfg``, given by its relative path, at the
   config's own seed;
+* ``simulate`` on a small constant-signal GG beta = 2 config at 1 bit and at
+  ``MAX_NBITS``, written by this script as ``lookup/constant_gg2_nb<n>.cfg``;
+  with the 2..5-bit ``figures`` runs they take ``estimator.direction``'s
+  array search through every round count from 0 to ``MAX_NBITS - 1``;
 * ``figures --replications 16 --horizon 64``;
 * ``loss-table`` with its defaults;
 * ``design`` for GG beta = 2 and ST beta = 2.5 at 1, 3 and 5 bits, whose
@@ -32,12 +36,30 @@ import tempfile
 from pathlib import Path
 
 from adaptquant import cli
+from adaptquant.quantizer import MAX_NBITS
 
 ROOT = Path(__file__).resolve().parents[1]
 
 #: (noise, beta, nbits) of the ``design`` runs
 DESIGNS = [(noise, beta, nbits) for noise, beta in (("gg", "2"), ("st", "2.5"))
            for nbits in (1, 3, 5)]
+
+#: the small ``simulate`` config run at each bit count of ``LOOKUP_NBITS``
+LOOKUP_CONFIG = """\
+[signal]
+kind = constant
+[noise]
+family = gg
+beta = 2
+[quantizer]
+nbits = {nbits}
+[run]
+replications = 64
+horizon = 200
+seed = 20
+initial_offset = 3
+"""
+LOOKUP_NBITS = (1, MAX_NBITS)
 
 
 def run(argv) -> str:
@@ -54,6 +76,11 @@ def write_outputs() -> None:
     """Every run of the set, into ``out/`` under the working directory."""
     for config in sorted(Path("configs").glob("*.cfg")):
         run(["simulate", "--config", str(config), "--out", "out/simulate"])
+    Path("lookup").mkdir()
+    for nbits in LOOKUP_NBITS:
+        config = Path("lookup", f"constant_gg2_nb{nbits}.cfg")
+        config.write_text(LOOKUP_CONFIG.format(nbits=nbits))
+        run(["simulate", "--config", config.as_posix(), "--out", "out/simulate"])
     run(["figures", "--replications", "16", "--horizon", "64", "--out", "out/figures"])
     run(["loss-table", "--out", "out/loss-table"])
     for noise, beta, nbits in DESIGNS:
