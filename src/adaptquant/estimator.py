@@ -92,8 +92,10 @@ def direction(diff, thresholds: np.ndarray, levels: np.ndarray):
     drops its errors; the scalar API rejects non-finite input.
     """
     sign = (diff >= 0.0) * 2.0 - 1.0  # where(diff >= 0, 1, -1), cheap on a float
-    # a float is the exact type, which isinstance accepts at once; testing
-    # for an ndarray would cost a float step about 80 ns more
+    # a float keeps its one searchsorted (under 1 us at any bit count): on a
+    # float, each round below costs 1-2 us of numpy scalar overhead.  A float
+    # is the exact type, which isinstance accepts at once; testing for an
+    # ndarray would cost a float step about 80 ns more
     if isinstance(diff, float):
         return sign * levels[thresholds.searchsorted(abs(diff), "right")]
     half = (len(thresholds) + 1) // 2

@@ -250,21 +250,20 @@ def mean_field_slope(design: QuantizerDesign) -> float:
 # ---- plain-text design tables ----------------------------------------
 
 
+#: the keys of a design table, in the order ``save_design`` writes them
+TABLE_KEYS = ("family", "beta", "delta", "n_intervals", "c_delta", "tau", "eta", "iq")
+
+
 def save_design(path, model: NoiseModel, spec: QuantizerSpec,
                 design: QuantizerDesign) -> None:
     """Persist a design as a key = value table (full float precision)."""
-    lines = [
-        f"family = {model.family.value}",
-        f"beta = {model.beta!r}",
-        f"delta = {model.delta!r}",
-        f"n_intervals = {spec.n_intervals}",
-        f"c_delta = {spec.c_delta!r}",
-        f"tau = {','.join(repr(t) for t in spec.tau)}",
-        f"eta = {','.join(repr(float(v)) for v in design.levels)}",
-        f"iq = {float(design.info)!r}",
-    ]
+    values = (model.family.value, repr(model.beta), repr(model.delta),
+              spec.n_intervals, repr(spec.c_delta),
+              ",".join(repr(t) for t in spec.tau),
+              ",".join(repr(float(v)) for v in design.levels),
+              repr(float(design.info)))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"{key} = {value}\n" for key, value in zip(TABLE_KEYS, values))
 
 
 #: relative distance allowed between a table's eta/iq and the recomputed design
@@ -286,8 +285,7 @@ def load_design(path):
                 continue
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
-    missing = [key for key in ("family", "beta", "delta", "n_intervals", "c_delta",
-                               "tau", "eta", "iq") if key not in kv]
+    missing = [key for key in TABLE_KEYS if key not in kv]
     if missing:
         raise ValueError(f"{path}: design table lacks {', '.join(missing)}")
     model = NoiseModel(Family(kv["family"]), float(kv["beta"]), float(kv["delta"]))

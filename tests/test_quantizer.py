@@ -12,6 +12,7 @@ from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
     MAX_NBITS,
     MIN_INTERVAL_MASS,
+    TABLE_KEYS,
     DesignError,
     QuantizerSpec,
     build_design,
@@ -357,9 +358,8 @@ def test_load_design_names_a_missing_key(tmp_path):
     path = tmp_path / "design.txt"
     save_design(path, m, spec, design)
     lines = path.read_text().splitlines()
-    keys = ["family", "beta", "delta", "n_intervals", "c_delta", "tau", "eta", "iq"]
-    assert [ln.partition(" =")[0] for ln in lines] == keys
-    for key in keys:
+    assert tuple(ln.partition(" =")[0] for ln in lines) == TABLE_KEYS
+    for key in TABLE_KEYS:
         path.with_name("edited.txt").write_text(
             "\n".join(ln for ln in lines if not ln.startswith(f"{key} =")) + "\n")
         with pytest.raises(ValueError, match=f"design table lacks {key}$"):
