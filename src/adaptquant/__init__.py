@@ -10,22 +10,15 @@ from .quantizer import (
     build_design,
     design_uniform,
     optimize_cdelta,
-    quantize,
 )
-from .estimator import EstimatorState, GainSchedule, ScheduleKind, SignalKind, gain
-from .simulator import (
-    ExperimentConfig,
-    ExperimentResult,
-    SignalModel,
-    run_continuous_reference,
-    run_experiment,
-)
+from .estimator import EstimatorState, GainSchedule, SignalKind, gain
+from .simulator import ExperimentConfig, ExperimentResult, SignalModel, run_experiment
 
 __all__ = [
     "Family", "NoiseModel", "gg", "st",
     "DesignError", "QuantizerDesign", "QuantizerSpec",
-    "build_design", "design_uniform", "optimize_cdelta", "quantize",
-    "EstimatorState", "GainSchedule", "ScheduleKind", "gain",
+    "build_design", "design_uniform", "optimize_cdelta",
+    "EstimatorState", "GainSchedule", "gain",
     "ExperimentConfig", "ExperimentResult", "SignalKind", "SignalModel",
-    "run_continuous_reference", "run_experiment",
+    "run_experiment",
 ]

@@ -91,13 +91,15 @@ def direction(diff, thresholds: np.ndarray, levels: np.ndarray):
     a float).  Only a diverged replication produces one, and the engine
     drops its errors; the scalar API rejects non-finite input.
     """
-    sign = (diff >= 0.0) * 2.0 - 1.0  # where(diff >= 0, 1, -1), cheap on a float
     # a float keeps its one searchsorted (under 1 us at any bit count): on a
     # float, each round below costs 1-2 us of numpy scalar overhead.  A float
     # is the exact type, which isinstance accepts at once; testing for an
-    # ndarray would cost a float step about 80 ns more
+    # ndarray would cost a float step about 80 ns more.  Its sign comes from
+    # a compare: np.bool_ * float is slow on a numpy float64
     if isinstance(diff, float):
-        return sign * levels[thresholds.searchsorted(abs(diff), "right")]
+        level = levels[thresholds.searchsorted(abs(diff), "right")]
+        return level if diff >= 0.0 else -level
+    sign = (diff >= 0.0) * 2.0 - 1.0  # where(diff >= 0, 1, -1)
     half = (len(thresholds) + 1) // 2
     if not half:  # 1 bit: one cell
         return sign * levels[0]

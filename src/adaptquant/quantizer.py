@@ -288,21 +288,29 @@ def load_design(path):
     missing = [key for key in TABLE_KEYS if key not in kv]
     if missing:
         raise ValueError(f"{path}: design table lacks {', '.join(missing)}")
-    model = NoiseModel(Family(kv["family"]), float(kv["beta"]), float(kv["delta"]))
-    spec = QuantizerSpec(tuple(float(t) for t in kv["tau"].split(",") if t),
-                         float(kv["c_delta"]))
-    if int(kv["n_intervals"]) != spec.n_intervals:
+
+    def parse(key, convert):
+        try:
+            return convert(kv[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key} = {kv[key]!r}: {exc}") from exc
+
+    model = NoiseModel(parse("family", Family), parse("beta", float),
+                       parse("delta", float))
+    tau = parse("tau", lambda text: tuple(float(v) for v in text.split(",") if v))
+    spec = QuantizerSpec(tau, parse("c_delta", float))
+    if parse("n_intervals", int) != spec.n_intervals:
         raise ValueError(f"n_intervals = {kv['n_intervals']} does not match the "
                          f"{len(spec.tau)} thresholds of tau")
     design = build_design(model, spec)
-    levels = np.array([float(v) for v in kv["eta"].split(",")])
+    levels = np.array(parse("eta", lambda text: [float(v) for v in text.split(",")]))
     if levels.shape != design.levels.shape or not np.all(np.isfinite(levels)):
         raise ValueError(f"eta must hold {spec.n_intervals // 2} finite levels, "
                          f"got {kv['eta']!r}")
     if np.any(np.abs(levels - design.levels) > LOAD_RTOL * np.abs(design.levels)):
         raise ValueError(f"eta {kv['eta']!r} does not match the levels "
                          f"{design.levels.tolist()} of the table's geometry")
-    info = float(kv["iq"])
+    info = parse("iq", float)
     if not abs(info - design.info) <= LOAD_RTOL * design.info:
         raise ValueError(f"iq {kv['iq']!r} does not match the information "
                          f"{design.info!r} of the table's geometry")

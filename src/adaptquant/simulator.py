@@ -12,10 +12,12 @@ a block are time-major (steps, replications) matrices of at most
 it consumed, and only the per-step sum of squared errors is kept, so
 memory does not grow with the horizon.  A block's noise is drawn by
 ``NoiseModel.sample_block``: one numpy call per replication fills its row
-with raw draws, and the family's transform runs once over the block.
-numpy's draws give the same values in one piece as split into blocks, so
-the results do not depend on the block length; the chunk sums are added in
-chunk order, so results are bit-identical for a given seed.
+with raw draws, and the family's transform runs once over the block; one
+``np.add`` over the transposed rows fills the time-major paths (x0 +
+walk), another the observations (path + noise).  numpy's draws give the
+same values in one piece as split into blocks, so the results do not
+depend on the block length; the chunk sums are added in chunk order, so
+results are bit-identical for a given seed.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ CHUNK_SIZE = 2048
 #: floats per work matrix: a chunk is run in time blocks of
 #: BLOCK_ELEMENTS // replications steps (256 at a full chunk)
 BLOCK_ELEMENTS = 2**19
-
-#: replications per tile when per-replication draws are made time-major
-TILE = 32
 
 #: a replication whose estimate exceeds this many noise scales is dropped
 DIVERGENCE_FACTOR = 1e6
@@ -292,9 +291,10 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     limit = DIVERGENCE_FACTOR * noise.delta
     dead = np.zeros(n_rep, dtype=bool)
     sumsq = np.empty(config.horizon)
-    # per-replication draws (column 0 carries the walks) and the time-major
-    # paths and observations of one block, which step i overwrites in row i
-    # with its estimates
+    # per-replication draws (column 0 carries the walks), and the time-major
+    # paths and observations of one block, each filled by an add over the
+    # draws' transpose; step i overwrites row i of the observations with its
+    # estimates
     draws = np.zeros((n_rep, block + 1))
     paths = (np.empty((block, n_rep)) if moving
              else np.broadcast_to(signal.x0, (block, n_rep)))
@@ -304,12 +304,10 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
         steps = min(block, config.horizon - start)
         if moving:
             _walk(signal, path_rngs, draws[:, :steps + 1])
-            _time_major(draws[:, 1:steps + 1], paths[:steps])
-            paths[:steps] += signal.x0
+            np.add(draws[:, 1:steps + 1].T, signal.x0, out=paths[:steps])
             draws[:, 0] = draws[:, steps]
         noise.sample_block(noise_rngs, draws[:, 1:steps + 1])
-        _time_major(draws[:, 1:steps + 1], obs[:steps])
-        obs[:steps] += paths[:steps]
+        np.add(draws[:, 1:steps + 1].T, paths[:steps], out=obs[:steps])
         for i in range(steps):
             k = start + i + 1
             diff = obs[i] - x_hat
@@ -325,14 +323,6 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
         x_hats *= x_hats  # the squared errors
         sumsq[start:start + steps] = x_hats.sum(axis=1)
     return sumsq, dead
-
-
-def _time_major(rows: np.ndarray, out: np.ndarray) -> None:
-    """Copy the (replications, steps) matrix ``rows`` transposed into
-    ``out``, in tiles of ``TILE`` replications: a plain transposed copy
-    misses the cache on nearly every element."""
-    for j in range(0, len(rows), TILE):
-        out[:, j:j + TILE] = rows[j:j + TILE].T
 
 
 def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):

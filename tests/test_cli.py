@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import adaptquant
 from adaptquant import cli
 from adaptquant.cli import load_experiment_config, main
 from adaptquant.noise import Family, NoiseModel
@@ -465,6 +466,21 @@ def test_readme_config_block_loads(tmp_path):
     config = load_experiment_config(cfg_path)
     assert config.quantizer is not None
     assert config.signal.kind.value == "wiener_drift"
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README quick start", "exec"), namespace)
+    x_hat = namespace["state"].x_hat
+    assert capsys.readouterr().out == f"{x_hat}\n"
+    assert abs(x_hat - 1.5) < 0.1  # 1.4752 at seed 0; its sd is about 0.017
+
+
+def test_package_names_resolve_once():
+    objects = [getattr(adaptquant, name) for name in adaptquant.__all__]
+    assert len({id(obj) for obj in objects}) == len(objects)
 
 
 @pytest.mark.parametrize("subcommand", [["simulate", "--config", "x.cfg"]])

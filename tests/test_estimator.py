@@ -161,6 +161,24 @@ def test_step_quantized_converges_on_constant_target(gauss_design, rng):
     assert abs(state.x_hat - x_true) < 0.2
 
 
+@pytest.mark.parametrize("kind, extra", [
+    (SignalKind.CONSTANT, {}),
+    (SignalKind.WIENER, dict(sigma_w=0.1)),
+    (SignalKind.WIENER_DRIFT, dict(drift_gain=0.5)),
+])
+def test_numpy_float_observations_give_the_python_float_bits(gauss_design, kind, extra):
+    m, spec, design = gauss_design
+    schedule = GainSchedule(kind, design.info, **extra)
+    ys = 1.5 + m.sample(np.random.default_rng(3), 500)
+    assert type(ys[0]) is np.float64
+    by_float = by_numpy = EstimatorState(0.0)
+    for y in ys:
+        by_float = step_quantized(by_float, float(y), design, spec, schedule)
+        by_numpy = step_quantized(by_numpy, y, design, spec, schedule)
+        assert ((by_numpy.x_hat.hex(), by_numpy.u_hat.hex())
+                == (by_float.x_hat.hex(), by_float.u_hat.hex()))
+
+
 def test_nonfinite_observation_rejected(gauss_design):
     m, spec, design = gauss_design
     schedule = GainSchedule(ScheduleKind.CONSTANT, design.info)
@@ -182,6 +200,7 @@ def test_direction_on_floats_and_arrays(gauss_design):
     diffs = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, 3.0]) * step
     expected = [-levels[-1], -levels[0], levels[0], levels[0], levels[0], levels[-1]]
     assert [direction(float(d), thr, levels) for d in diffs] == expected
+    assert [direction(d, thr, levels) for d in diffs] == expected  # numpy float64
     np.testing.assert_array_equal(direction(diffs, thr, levels), expected)
 
 

@@ -366,6 +366,21 @@ def test_load_design_names_a_missing_key(tmp_path):
             load_design(path.with_name("edited.txt"))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("family", "xx"), ("beta", "two"), ("n_intervals", "eight"),
+    ("tau", "1,x"), ("iq", "big"),
+])
+def test_load_design_names_the_file_and_key_of_a_bad_value(tmp_path, key, value):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    edited = edited_table(path, **{key: value})
+    with pytest.raises(ValueError) as info:
+        load_design(edited)
+    assert str(info.value).startswith(f"{edited}: {key} = {value!r}: ")
+
+
 def test_load_design_rejects_a_geometry_it_cannot_build(tmp_path):
     m = gg(2.0)
     spec, design = design_uniform(m, 8)
