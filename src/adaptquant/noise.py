@@ -54,8 +54,8 @@ class NoiseModel:
     # ---- densities -------------------------------------------------
 
     def pdf(self, x):
-        """Density f(x); accepts scalars or arrays."""
-        z = np.asarray(x, dtype=float) / self.delta
+        """Density f(x); a float for a float, an array for an array."""
+        z = _row(x) / self.delta
         b = self.beta
         with np.errstate(over="ignore"):  # |z|**beta or z*z is inf: density 0
             if self.family is Family.GG:
@@ -66,49 +66,38 @@ class NoiseModel:
                     math.lgamma((b + 1.0) / 2.0) - math.lgamma(b / 2.0)
                 ) / math.sqrt(b * math.pi)
                 out = norm * (1.0 + z * z / b) ** (-(b + 1.0) / 2.0)
-        out = out / self.delta
-        return float(out) if np.isscalar(x) else out
+        return _shaped(out / self.delta, x)
 
     def cdf(self, x):
         """Distribution function F(x) = sf(-x), as both families are symmetric."""
-        if isinstance(x, float) or np.isscalar(x):
-            return self.sf(-x)
         return self.sf(-np.asarray(x, dtype=float))
 
     def sf(self, x):
-        """Survival function 1 - F(x); accepts scalars or arrays.
+        """Survival function 1 - F(x); a float for a float, an array for an array.
 
         Half the two-sided tail above 0 and one minus it below, so each
         side is accurate deep in its own tail.
         """
-        if isinstance(x, float) or np.isscalar(x):
-            z = float(x) / self.delta
-            half = 0.5 * self._tail(abs(z))
-            return half if z > 0.0 else 1.0 - half
-        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf, as for a float
-            z = np.asarray(x, dtype=float) / self.delta
+        with np.errstate(over="ignore"):  # |z|**beta or z*z is inf: tail 0
+            z = _row(x) / self.delta
             half = 0.5 * self._tail(np.abs(z))
-        return np.where(z > 0.0, half, 1.0 - half)
+        return _shaped(np.where(z > 0.0, half, 1.0 - half), x)
 
     def _tail(self, az):
-        """P(|V| > az) at the normalized point az >= 0 (a float or an
-        array): one special-function call."""
+        """P(|V| > az) at the normalized points az >= 0, a 1-D array: one
+        special-function call."""
         b = self.beta
         if self.family is Family.GG:
-            try:
-                arg = az**b  # an array overflows to inf under sf's errstate
-            except OverflowError:  # a float az**b beyond the float range
-                arg = math.inf
-            return regularized_gamma_q(1.0 / b, arg)
+            return regularized_gamma_q(1.0 / b, az**b)
         return incomplete_beta_regularized(b / (az * az + b), b / 2.0, 0.5)
 
     def score(self, x):
-        """Logarithmic density derivative f'(x)/f(x)."""
+        """Logarithmic density derivative f'(x)/f(x); a float for a float."""
         if self.family is Family.GG and self.beta <= 1.0:
             raise ValueError(
                 "score is undefined at the origin for GG noise with beta <= 1"
             )
-        z = np.asarray(x, dtype=float) / self.delta
+        z = _row(x) / self.delta
         b = self.beta
         with np.errstate(over="ignore"):  # |z|**(beta-1) or z*z is inf
             if self.family is Family.GG:
@@ -117,8 +106,7 @@ class NoiseModel:
                 den = b + z * z  # inf where z*z overflows: the score is -(b+1)/z
                 with np.errstate(divide="ignore", invalid="ignore"):
                     out = np.where(np.isinf(den), -(b + 1.0) / z, -(b + 1.0) * z / den)
-        out = out / self.delta
-        return float(out) if np.isscalar(x) else out
+        return _shaped(out / self.delta, x)
 
     # ---- information and sampling ----------------------------------
 
@@ -148,13 +136,14 @@ class NoiseModel:
         return info_n / self.delta**2
 
     def sample(self, rng: np.random.Generator, size=None):
-        """Draw ``size`` i.i.d. samples (one float when ``size`` is None):
-        the one-row case of ``sample_block``, with the same bits.  Draws
-        split into pieces give the same values as drawn in one piece.
+        """Draw an array of shape ``size`` of i.i.d. samples (one float when
+        ``size`` is None): one row of ``sample_block`` in C order, with the
+        same bits.  Draws split into pieces give the same values as drawn
+        in one piece.
         """
-        out = np.empty(1 if size is None else size)
-        self.sample_block([rng], out[np.newaxis])
-        return float(out[0]) if size is None else out
+        out = np.empty(() if size is None else size)
+        self.sample_block([rng], out.reshape(1, -1))  # a view: fills ``out``
+        return float(out) if size is None else out
 
     def sample_block(self, rngs, out: np.ndarray) -> np.ndarray:
         """Fill row i of the (rows, steps) float64 matrix ``out`` with i.i.d.
@@ -206,6 +195,20 @@ class NoiseModel:
         if scale != 1.0:
             out *= scale
         return out
+
+
+def _row(x) -> np.ndarray:
+    """``x`` as a 1-D float array: a float is one element, so it runs
+    through the same numpy loops as an array (numpy's scalar ``pow`` may
+    differ from its array loop in the last bit)."""
+    return np.asarray(x, dtype=float).reshape(-1)
+
+
+def _shaped(out: np.ndarray, x):
+    """``out``, computed on ``_row(x)``, in the shape of ``x``: a float
+    for a 0-d ``x``."""
+    shape = np.shape(x)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _generalized_gaussian(rngs, out: np.ndarray, beta: float) -> None:

@@ -32,6 +32,11 @@ MIN_INTERVAL_MASS = 1e-300
 #: grid's search matrix at 1000 x 511 floats
 MAX_NBITS = 10
 
+#: the most grid points x N/2 (the edges and 0) that the c_delta search
+#: takes: its peak RSS grows by about 150 bytes each (measured, 0.5-2.6
+#: million), so this cap holds it to about 0.3 GB above the interpreter
+MAX_SEARCH_ELEMENTS = 2**21
+
 
 def _check_size(n_intervals: int) -> None:
     if n_intervals < 2 or n_intervals & (n_intervals - 1):  # nbits names the quantizer
@@ -186,10 +191,15 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     lo, hi, step = grid
     if not (lo > 0 and hi >= lo and step > 0):
         raise ValueError(f"invalid c_delta grid {grid}")
+    tau = np.asarray(QuantizerSpec.uniform(n_intervals, lo).tau)
+    rows = (hi + step / 2 - lo) / step  # np.arange's length, before rounding up
+    if not rows * (n_intervals // 2) <= MAX_SEARCH_ELEMENTS:  # inf and NaN too
+        raise ValueError(f"c_delta grid {grid} has {rows:.3g} points; at "
+                         f"{n_intervals} intervals the search takes at most "
+                         f"{MAX_SEARCH_ELEMENTS // (n_intervals // 2)}")
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
-    tau = np.asarray(QuantizerSpec.uniform(n_intervals, lo).tau)
     probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
     valid = ~_degenerate(probs)
     if not valid.any():
@@ -216,26 +226,27 @@ def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID
 # ---- mean-field quantities ------------------------------------------
 
 
-def mean_field(model: NoiseModel, design: QuantizerDesign, eps: float) -> float:
+def mean_field(model: NoiseModel, design: QuantizerDesign, eps):
     """Expected update direction as a function of the estimation error.
 
     Zero at eps = 0; negative for eps > 0 and positive for eps < 0 for any
     valid symmetric design, which is what makes the recursion stable.
 
-    The cell masses come from ``sf`` at eps and at eps +- each finite edge
-    of ``design.thresholds``, one call per point; sf is 0 at the edge +inf
-    and 1 at -inf.
+    ``eps`` is a float (a float is returned) or an array of errors (an
+    array of their values).  The cell masses come from one ``sf`` call at
+    every eps and every eps +- each finite edge of ``design.thresholds``;
+    sf is 0 at the edge +inf and 1 at -inf.
     """
-    edges = design.thresholds.tolist()
-    centre = model.sf(eps)
-    upper = [centre, *(model.sf(eps + t) for t in edges), 0.0]
-    lower = [centre, *(model.sf(eps - t) for t in edges), 1.0]
-    total = 0.0
-    for i, level in enumerate(design.levels.tolist()):
-        pos = upper[i] - upper[i + 1]
-        neg = lower[i + 1] - lower[i]
-        total += level * (pos - neg)
-    return total
+    eps = np.asarray(eps, dtype=float)
+    column = eps.reshape(-1, 1)
+    edges = design.thresholds
+    sf = model.sf(np.concatenate((column, column + edges, column - edges), axis=1))
+    upper = np.concatenate((sf[:, :len(edges) + 1], np.zeros_like(column)), axis=1)
+    lower = np.concatenate((sf[:, :1], sf[:, len(edges) + 1:], np.ones_like(column)),
+                           axis=1)
+    # a cell's mass above eps minus its mirror's below, times its level
+    total = np.sum(design.levels * (-np.diff(upper) - np.diff(lower)), axis=1)
+    return total.reshape(eps.shape) if eps.ndim else float(total[0])
 
 
 def mean_field_slope(design: QuantizerDesign) -> float:

@@ -145,6 +145,19 @@ def test_mse_drift_tradeoff_minimized_by_drift_gain():
                                  rel=1e-12)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: bcrb_recursion(0.0, 0.1, 5), "ic and sigma_w must be positive"),
+    (lambda: bcrb_asymptotic(2.0, 0.0), "ic and sigma_w must be positive"),
+    (lambda: sigma_inf_general([1.0, 2.0], [0.3, 0.2], [0.0, 0.0]), "slope is zero"),
+    (lambda: optimal_gamma_constant(0.0), "slope must be negative"),
+    (lambda: mse_drift_tradeoff(0.0, 1e-3, 2.0), "gamma must be positive"),
+], ids=["bcrb_recursion", "bcrb_asymptotic", "sigma_inf_general",
+        "optimal_gamma_constant", "mse_drift_tradeoff"])
+def test_invalid_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_ode_trajectory_against_reference_integrator():
     """RK4 on the harmonic grid agrees with a high-accuracy ODE solver."""
     m = gg(2.0)

@@ -68,6 +68,23 @@ def test_design_command_rejects_a_bad_grid(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_design_command_rejects_a_grid_too_large_to_search(tmp_path, capsys,
+                                                          monkeypatch):
+    """10^6 grid points x 512 would take gigabytes: refused before the
+    search matrix is built."""
+    def build(*args):
+        raise AssertionError("the search matrix was built")
+
+    monkeypatch.setattr("adaptquant.quantizer.interval_stats", build)
+    rc = main(["design", "--noise", "gg", "--beta", "2", "--nbits", str(MAX_NBITS),
+               "--grid-step", "1e-5", "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: c_delta grid")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_design_roundtrips_through_loader(tmp_path):
     from adaptquant.quantizer import load_design
 

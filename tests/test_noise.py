@@ -124,19 +124,23 @@ def test_gg_tail_for_small_beta_beyond_1e150():
 @pytest.mark.parametrize("family,beta",
                          ALL_SHAPES + [(Family.GG, 0.7), (Family.GG, 10.0)])
 def test_cdf_sf_arrays_match_scalar_calls(family, beta):
+    """A float is a one-element array: every method gives it the bits it
+    gives the same point inside an array."""
     m = NoiseModel(family, beta, 1.3)
     # |x / delta|**beta overflows at 1e140 for GG beta = 2.5 and from
     # 1e110 on for beta >= 3
     x = np.concatenate([[-math.inf, -1e200, -1e140, -1e110, 0.0, -0.0,
                          1e110, 1e140, 1e200, math.inf],
                         np.geomspace(1e-8, 1e3, 60), -np.geomspace(1e-8, 1e3, 60)])
-    for fn in (m.cdf, m.sf):
+    methods = [m.cdf, m.sf, m.pdf]
+    if family is Family.ST or beta > 1.0:  # the score is defined
+        methods.append(m.score)
+    for fn in methods:
         got = fn(x.reshape(2, -1))
         assert got.shape == (2, len(x) // 2)
-        # the array kernels differ from libm only in the last bits of
-        # their exp/log/pow, which deep tails amplify by up to |x|^beta
-        np.testing.assert_allclose(got.ravel(), [fn(float(v)) for v in x],
-                                   rtol=1e-13, atol=0.0)
+        floats = [fn(float(v)) for v in x]
+        assert all(type(v) is float for v in floats)
+        np.testing.assert_array_equal(got.ravel(), floats)
 
 
 def test_fisher_anchor_values():
@@ -216,6 +220,15 @@ def test_sampling_matches_cdf(family, beta, rng):
     draws = m.sample(rng, 20_000)
     stat = kstest(draws, lambda x: m.cdf(x)).pvalue
     assert stat > 1e-4
+
+
+@pytest.mark.parametrize("family,beta", list(STANDARD_SHAPES) + [(Family.GG, 0.7)])
+def test_sample_draws_any_shape(family, beta):
+    """``sample`` fills a shape in C order with the bits of a flat draw."""
+    m = NoiseModel(family, beta, 1.3)
+    grid = m.sample(np.random.default_rng(8), (3, 4))
+    assert grid.shape == (3, 4)
+    assert np.array_equal(grid, m.sample(np.random.default_rng(8), 12).reshape(3, 4))
 
 
 def test_gg_sampling_variance(rng):

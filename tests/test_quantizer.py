@@ -347,8 +347,11 @@ def test_load_design_rejects_levels_and_info_off_the_geometry(tmp_path):
     ]:
         with pytest.raises(ValueError, match=key):
             load_design(edited_table(path, **{key: value}))
-    # within 1e-9 of the recomputed design loads, with the table's values
-    _, _, loaded = load_design(edited_table(path, iq=repr(design.info * (1 + 1e-12))))
+    # within 1e-9 of the recomputed design loads, with the table's values;
+    # comment lines and blank lines are skipped
+    edited = edited_table(path, iq=repr(design.info * (1 + 1e-12)))
+    edited.write_text("# an edited table\n\n" + edited.read_text())
+    _, _, loaded = load_design(edited)
     assert loaded.info == design.info * (1 + 1e-12)
 
 
@@ -411,10 +414,11 @@ def test_mean_field_properties():
 
 
 def mean_field_by_cdf_pairs(model, design, spec, eps):
-    """The mean field as a sum over cells of cdf differences at both ends,
-    with the edges rebuilt from ``spec`` and F(+-inf) taken as 1 and 0."""
+    """The mean field at the errors ``eps`` as a sum over cells of cdf
+    differences at both ends, each pair over all of ``eps`` at once, with
+    the edges rebuilt from ``spec`` and F(+-inf) taken as 1 and 0."""
     def cdf(x):
-        return (1.0 if x > 0 else 0.0) if math.isinf(x) else model.cdf(x)
+        return np.where(np.isinf(x), x > 0, model.cdf(np.where(np.isinf(x), 0.0, x)))
 
     edges = np.concatenate(([0.0], spec.tau, [math.inf])) * (spec.c_delta * model.delta)
     total = 0.0
@@ -428,11 +432,12 @@ def mean_field_by_cdf_pairs(model, design, spec, eps):
 
 @pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
 def test_mean_field_matches_cdf_pairs(nbits, cached_design):
+    eps = np.array(np.linspace(-10.0, 10.0, 21).tolist() + [1e-3, -1e-3])
     for family, beta in STANDARD_SHAPES:
         model, spec, design = cached_design(family, beta, nbits)
-        for eps in np.linspace(-10.0, 10.0, 21).tolist() + [1e-3, -1e-3]:
-            assert mean_field(model, design, eps) == pytest.approx(
-                mean_field_by_cdf_pairs(model, design, spec, eps), rel=0.0, abs=1e-14)
+        np.testing.assert_allclose(mean_field(model, design, eps),
+                                   mean_field_by_cdf_pairs(model, design, spec, eps),
+                                   rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("nbits", [1, 2, 3, 4, 5])
@@ -449,6 +454,13 @@ def test_mean_field_evaluates_each_edge_once(nbits, cached_design, monkeypatch):
     for eps in [0.37, -1.2, 0.0]:
         points.clear()
         mean_field(model, design, eps)
-        # sf at eps and at eps +- each finite edge, every point once
-        assert len(points) == 2 * (2**nbits // 2) - 1
-        assert len(set(points)) == len(points)
+        # one sf call at eps and at eps +- each finite edge, every point once
+        assert len(points) == 1
+        values = np.ravel(points[0]).tolist()
+        assert len(values) == 2 * (2**nbits // 2) - 1
+        assert len(set(values)) == len(values)
+    # an array of errors: still one call, one row of points per error
+    points.clear()
+    eps = np.array([0.37, -1.2, 0.0])
+    mean_field(model, design, eps)
+    assert len(points) == 1 and np.shape(points[0]) == (3, 2 * (2**nbits // 2) - 1)

@@ -389,7 +389,8 @@ def test_scalar_api_matches_engine_quantized_property(noise, nbits, signal,
 
 
 @pytest.mark.parametrize("signal", PARITY_SIGNALS, ids=lambda s: s.kind.value)
-@pytest.mark.parametrize("noise", [gg(1.5), st(2.0)], ids=["gg1.5", "st2"])
+@pytest.mark.parametrize("noise", [gg(1.5), gg(1.7), st(2.0)],
+                         ids=["gg1.5", "gg1.7", "st2"])
 def test_scalar_api_matches_engine_continuous(signal, noise):
     cfg = make_config(signal=signal, noise=noise, quantizer=None, replications=1,
                       horizon=400, drift_initial=None, initial_offset=1.5)

@@ -7,8 +7,6 @@ import pytest
 from scipy.integrate import quad
 
 from adaptquant.special import (
-    _Active,
-    _beta_contfrac,
     incomplete_beta_regularized,
     incomplete_gamma_lower,
     regularized_gamma_p,
@@ -102,7 +100,7 @@ def test_beta_domain_errors():
         incomplete_beta_regularized(0.5, -1.0, 1.0)
 
 
-# ---- array arguments: the same values as a loop over floats ------------
+# ---- array arguments: the same bits as a loop over floats --------------
 
 
 def gamma_points(a):
@@ -129,7 +127,7 @@ def test_gamma_array_matches_scalar(fn, a):
     got = fn(a, x.reshape(3, 5))
     assert got.shape == (3, 5)
     want = [fn(a, float(v)) for v in x]
-    np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(got.ravel(), want)
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 0.5), (1.0, 3.0), (2.5, 0.8), (1.5, 0.5),
@@ -138,12 +136,7 @@ def test_beta_array_matches_scalar(a, b):
     x = beta_points(a, b)
     got = incomplete_beta_regularized(x, a, b)
     want = [incomplete_beta_regularized(float(v), a, b) for v in x]
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
-    # the continued fraction itself (no libm prefactor) is bit-identical:
-    # each element goes through exactly the scalar iteration sequence
-    inner = x[(x > 0.0) & (x < 1.0)]
-    np.testing.assert_array_equal(_beta_contfrac(inner, a, b, _Active(inner.size)),
-                                  [_beta_contfrac(float(v), a, b) for v in inner])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_array_domain_errors():

@@ -8,6 +8,10 @@ The runs go through ``adaptquant.cli.main`` in a fresh temporary directory:
   ``MAX_NBITS``, written by this script as ``lookup/constant_gg2_nb<n>.cfg``;
   with the 2..5-bit ``figures`` runs they take ``estimator.direction``'s
   array search through every round count from 0 to ``MAX_NBITS - 1``;
+* ``simulate`` in continuous mode (the engine's unquantized reference,
+  through ``NoiseModel.score``) for GG beta = 1.7 with drift, ST beta = 3
+  on a random walk and GG beta = 2.5 on a constant, written by this script
+  as ``continuous/<name>.cfg``;
 * ``figures --replications 16 --horizon 64``;
 * ``loss-table`` with its defaults;
 * ``design`` for GG beta = 2 and ST beta = 2.5 at 1, 3 and 5 bits, whose
@@ -61,6 +65,27 @@ initial_offset = 3
 """
 LOOKUP_NBITS = (1, MAX_NBITS)
 
+#: the continuous-mode ``simulate`` configs: name -> (noise, signal) lines
+CONTINUOUS_CONFIG = """\
+[signal]
+{signal}
+[noise]
+{noise}
+[quantizer]
+mode = continuous
+[run]
+replications = 64
+horizon = 200
+seed = 21
+initial_offset = 3
+"""
+CONTINUOUS_RUNS = {
+    "gg1.7_wiener_drift": ("family = gg\nbeta = 1.7",
+                           "kind = wiener_drift\nsigma_w = 1e-3\nu = 1e-3"),
+    "st3_wiener": ("family = st\nbeta = 3", "kind = wiener\nsigma_w = 0.1"),
+    "gg2.5_constant": ("family = gg\nbeta = 2.5", "kind = constant"),
+}
+
 
 def run(argv) -> str:
     """``cli.main(argv)``'s standard output; a nonzero exit code ends the script."""
@@ -80,6 +105,11 @@ def write_outputs() -> None:
     for nbits in LOOKUP_NBITS:
         config = Path("lookup", f"constant_gg2_nb{nbits}.cfg")
         config.write_text(LOOKUP_CONFIG.format(nbits=nbits))
+        run(["simulate", "--config", config.as_posix(), "--out", "out/simulate"])
+    Path("continuous").mkdir()
+    for name, (noise, signal) in CONTINUOUS_RUNS.items():
+        config = Path("continuous", f"{name}.cfg")
+        config.write_text(CONTINUOUS_CONFIG.format(noise=noise, signal=signal))
         run(["simulate", "--config", config.as_posix(), "--out", "out/simulate"])
     run(["figures", "--replications", "16", "--horizon", "64", "--out", "out/figures"])
     run(["loss-table", "--out", "out/loss-table"])
