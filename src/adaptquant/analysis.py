@@ -9,7 +9,7 @@ import numpy as np
 
 from .estimator import SignalKind
 from .noise import NoiseModel
-from .quantizer import QuantizerDesign, mean_field
+from .quantizer import QuantizerDesign, mean_field, mean_field_slope_general
 
 # ---- quantization losses in dB ---------------------------------------
 
@@ -99,11 +99,6 @@ class PerformancePrediction:
 def increment_variance(levels, probs) -> float:
     """Second moment of the update direction, 2 * sum(levels^2 * probs)."""
     return float(2.0 * np.sum(np.asarray(levels) ** 2 * np.asarray(probs)))
-
-
-def mean_field_slope_general(levels, drops) -> float:
-    """Mean-field derivative at zero error, -2 * sum(levels * drops)."""
-    return float(-2.0 * np.sum(np.asarray(levels) * np.asarray(drops)))
 
 
 def sigma_inf_general(levels, probs, drops) -> float:

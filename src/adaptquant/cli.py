@@ -171,10 +171,12 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
 
     ``config.quantizer`` is None for ``[quantizer] mode = continuous``.  A
     section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
-    cannot silently fall back to a default.  The only defaults here are
-    those no dataclass field holds: signal kind constant, GG noise with
-    beta 2, and a quantized mode with 2 bits and c_delta searched on
-    ``DEFAULT_CDELTA_GRID``.
+    cannot silently fall back to a default; so does a key the run would
+    not read: ``nbits`` or ``cdelta`` in a continuous run, or a
+    ``[drift_estimator]`` key when the signal does not drift.  The only
+    defaults here are those no dataclass field holds: signal kind constant,
+    GG noise with beta 2, and a quantized mode with 2 bits and c_delta
+    searched on ``DEFAULT_CDELTA_GRID``.
     """
     parser = configparser.ConfigParser()
     try:
@@ -203,17 +205,27 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     noise = NoiseModel(**{"family": Family.GG, "beta": 2.0, **sections["noise"]})
     qua = {"mode": "quantized", "nbits": 2, "cdelta": None,
            **sections.get("quantizer", {})}
+    mode = qua["mode"]
+    if mode not in ("quantized", "continuous"):
+        raise ValueError(f"{path}: [quantizer] mode = {mode!r}: "
+                         f"unknown quantizer mode {mode!r}")
+    # a key the run would not read is an error too, not a silent no-op
+    unread = []
+    if mode == "continuous":
+        unread += [("quantizer", key, "mode = continuous") for key in ("nbits", "cdelta")]
+    if signal.kind is not SignalKind.WIENER_DRIFT:
+        unread += [("drift_estimator", key, f"[signal] kind = {signal.kind.value}")
+                   for key in CONFIG_KEYS["drift_estimator"]]
+    for section, key, setting in unread:
+        if key in sections.get(section, {}):
+            raise ValueError(f"{path}: [{section}] {key} is not read when {setting}")
     spec = None
-    if qua["mode"] == "quantized":
+    if mode == "quantized":
         n_intervals = _intervals(qua["nbits"], f"{path}: [quantizer] nbits")
         if qua["cdelta"] is None:
             spec, _ = design_uniform(noise, n_intervals)
         else:
             spec = QuantizerSpec.uniform(n_intervals, qua["cdelta"])
-    elif qua["mode"] != "continuous":
-        mode = qua["mode"]
-        raise ValueError(f"{path}: [quantizer] mode = {mode!r}: "
-                         f"unknown quantizer mode {mode!r}")
     run = sections.get("run", {})
     if seed_override is not None:
         run["seed"] = seed_override

@@ -12,11 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .noise import NoiseModel
-from .quantizer import QuantizerDesign, QuantizerSpec
+
+if TYPE_CHECKING:  # quantizer imports direction from here
+    from .quantizer import QuantizerDesign, QuantizerSpec
 
 
 class SignalKind(str, Enum):
@@ -134,6 +137,8 @@ class EstimatorState:
             raise ValueError(f"x_hat must be finite, got {self.x_hat}")
         if not math.isfinite(self.u_hat):
             raise ValueError(f"u_hat must be finite, got {self.u_hat}")
+        if not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"step counter k must be an integer, got {self.k!r}")
         if self.k < 0:
             raise ValueError(f"step counter must be >= 0, got {self.k}")
 

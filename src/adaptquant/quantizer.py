@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .estimator import direction
 from .noise import Family, NoiseModel
 
 
@@ -107,14 +108,13 @@ class QuantizerDesign:
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     """Quantize one observation to a signed symbol in {-N/2..-1, +1..+N/2}.
 
-    The cell edges are ``spec.tau * step``; with the step c_delta * delta
-    they are ``design.thresholds``, as ``estimator.direction`` reads them.
-    The tie y == offset maps to +1 (a probability-zero event under a
-    continuous noise density) so output is deterministic and never 0.
+    The symbol is the signed rank of the cell that ``estimator.direction``
+    finds for y - offset among the edges ``spec.tau * step``; with the step
+    c_delta * delta they are ``design.thresholds``.  The tie y == offset
+    maps to +1, so the output is deterministic and never 0.
     """
-    diff = y - offset
-    mag = int(np.searchsorted(np.asarray(spec.tau) * step, abs(diff), side="right")) + 1
-    return mag if diff >= 0.0 else -mag
+    ranks = np.arange(1, spec.n_intervals // 2 + 1)
+    return int(direction(y - offset, np.asarray(spec.tau) * step, ranks))
 
 
 def interval_stats(model: NoiseModel, thresholds):
@@ -160,6 +160,12 @@ def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
         raise DesignError(f"interval with vanishing probability mass: {probs}")
     info = 2.0 * np.sum(np.asarray(drops, dtype=float) ** 2 / probs, axis=-1)
     return float(info) if info.ndim == 0 else info
+
+
+def mean_field_slope_general(levels, drops) -> float:
+    """Mean-field derivative at zero error, -2 * sum(levels * drops), for
+    any levels: the levels of one design may meet another noise's drops."""
+    return float(-2.0 * np.sum(np.asarray(levels) * np.asarray(drops)))
 
 
 def _design(probs, drops, thresholds) -> QuantizerDesign:
@@ -250,12 +256,10 @@ def mean_field(model: NoiseModel, design: QuantizerDesign, eps):
 
 
 def mean_field_slope(design: QuantizerDesign) -> float:
-    """Derivative of the mean field at zero error, -2 * sum(levels * drops).
-
-    Equals minus the quantized Fisher information when the levels are the
-    optimal drop/probability ratios.
-    """
-    return float(-2.0 * np.sum(design.levels * design.drops))
+    """``mean_field_slope_general`` at the design's own levels and drops:
+    minus the quantized Fisher information when the levels are the
+    optimal drop/probability ratios."""
+    return mean_field_slope_general(design.levels, design.drops)
 
 
 # ---- plain-text design tables ----------------------------------------

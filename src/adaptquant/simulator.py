@@ -68,23 +68,14 @@ class SignalModel:
             raise ValueError("wiener_drift signal requires sigma_w > 0 and u != 0")
 
 
-def generate_path(signal: SignalModel, horizon: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Sample X_1..X_horizon of the parameter process."""
-    if signal.kind is SignalKind.CONSTANT:
-        return np.full(horizon, signal.x0)
-    sums = np.zeros((1, horizon + 1))
-    _walk(signal, [rng], sums)
-    return signal.x0 + sums[0, 1:]
-
-
-def _walk(signal: SignalModel, rngs, sums: np.ndarray) -> None:
-    """Advance the random walks X_k - x0 in place, one row of ``sums`` per
-    generator in ``rngs``: column 0 holds each walk's current value and
-    columns 1.. receive its next values.
+def generate_path(signal: SignalModel, rngs, sums: np.ndarray) -> None:
+    """Advance the random walks X_k - x0 of a moving signal in place, one
+    row of ``sums`` per generator in ``rngs``: column 0 holds each walk's
+    current value and columns 1.. receive its next values.
 
     The running sum is carried in front of the new increments, so a walk
-    has the same bits however its steps are split into blocks.
+    has the same bits however its steps are split into blocks.  A constant
+    signal has no walk: the engine broadcasts x0.
     """
     for rng, row in zip(rngs, sums):
         rng.standard_normal(out=row[1:])
@@ -303,7 +294,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     for start in range(0, config.horizon, block):
         steps = min(block, config.horizon - start)
         if moving:
-            _walk(signal, path_rngs, draws[:, :steps + 1])
+            generate_path(signal, path_rngs, draws[:, :steps + 1])
             np.add(draws[:, 1:steps + 1].T, signal.x0, out=paths[:steps])
             draws[:, 0] = draws[:, steps]
         noise.sample_block(noise_rngs, draws[:, 1:steps + 1])

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from adaptquant import analysis
 from adaptquant.analysis import (
@@ -44,29 +44,12 @@ def report(num: int, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} failed{suffix}"
 
 
-def _fisher_quadrature(model):
-    h = 1e-6 * model.delta
-
-    def integrand(x):
-        f = model.pdf(x)
-        if f == 0.0:
-            return 0.0
-        fp = (model.pdf(x + h) - model.pdf(x - h)) / (2.0 * h)
-        return fp * fp / f
-
-    total = 0.0
-    for lo, hi in zip([0.0, 1.0, 5.0, 30.0], [1.0, 5.0, 30.0, math.inf]):
-        total += quad(lambda z: integrand(z * model.delta) * model.delta,
-                      lo, hi, limit=200)[0]
-    return 2.0 * total
-
-
-def test_criterion_01_fisher_information_oracle():
+def test_criterion_01_fisher_information_oracle(fisher_quadrature):
     worst = 0.0
     for family, beta in STANDARD_SHAPES:
         m = NoiseModel(family, beta)
         analytic = m.fisher_continuous()
-        numeric = _fisher_quadrature(m)
+        numeric = fisher_quadrature(m)
         worst = max(worst, abs(analytic - numeric) / numeric)
     report(1, worst <= 1e-6, f"worst relative error {worst:.2e}")
 

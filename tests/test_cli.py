@@ -85,6 +85,18 @@ def test_design_command_rejects_a_grid_too_large_to_search(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
+def test_design_command_rejects_an_empty_grid(tmp_path, capsys):
+    """A step so fine that hi + step / 2 rounds to lo leaves no grid point."""
+    rc = main(["design", "--noise", "gg", "--beta", "2", "--nbits", "2",
+               "--grid-min", "1", "--grid-max", "1", "--grid-step", "1e-17",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty c_delta grid")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_design_roundtrips_through_loader(tmp_path):
     from adaptquant.quantizer import load_design
 
@@ -230,6 +242,26 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path, extra):
     c_star, _ = optimize_cdelta(noise, 4)
     assert load_experiment_config(cfg_path) == ExperimentConfig(
         SignalModel(SignalKind.CONSTANT), noise, QuantizerSpec.uniform(4, c_star))
+
+
+@pytest.mark.parametrize("signal, quantizer, extra, where", [
+    ("kind = constant", "mode = continuous\nnbits = 7",
+     "", "[quantizer] nbits is not read when mode = continuous"),
+    ("kind = constant", "mode = continuous\ncdelta = 0.3",
+     "", "[quantizer] cdelta is not read when mode = continuous"),
+    ("kind = constant", "cdelta = 0.69", "[drift_estimator]\ngain = 0.5\n",
+     "[drift_estimator] gain is not read when [signal] kind = constant"),
+    ("kind = wiener\nsigma_w = 0.1", "cdelta = 0.69",
+     "[drift_estimator]\ninitial = true\n",
+     "[drift_estimator] initial is not read when [signal] kind = wiener"),
+], ids=["continuous_nbits", "continuous_cdelta", "constant_gain", "wiener_initial"])
+def test_keys_the_run_does_not_read_are_rejected(tmp_path, signal, quantizer, extra,
+                                                 where):
+    cfg_path = tmp_path / "unread.cfg"
+    cfg_path.write_text(f"[signal]\n{signal}\n[noise]\nfamily = st\n"
+                        f"[quantizer]\n{quantizer}\n{extra}")
+    with pytest.raises(ValueError, match=re.escape(f"{cfg_path}: {where}")):
+        load_experiment_config(cfg_path)
 
 
 def test_drift_file_without_drift_estimator_takes_the_config_default(tmp_path):

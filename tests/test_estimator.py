@@ -80,6 +80,11 @@ def test_state_validation():
         EstimatorState(math.nan)
     with pytest.raises(ValueError):
         EstimatorState(0.0, k=-1)
+    # a fractional counter would make every later gain 1 / (k * info) wrong
+    for k in (1.5, 2.0, np.float64(3.0), "4", None):
+        with pytest.raises(ValueError, match="step counter k must be an integer"):
+            EstimatorState(0.0, k=k)
+    assert EstimatorState(0.0, k=np.int64(3)).k == 3
     for u_hat in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="u_hat"):
             EstimatorState(0.0, u_hat=u_hat)

@@ -15,26 +15,6 @@ ALL_SHAPES = list(STANDARD_SHAPES) + [(Family.GG, 1.0)]  # plus Laplace
 DELTAS = [0.5, 1.0, 2.0]
 
 
-def fisher_quadrature(model):
-    """Independent oracle: quadrature of (f'/f)^2 f over the real line."""
-    h = 1e-6 * model.delta
-
-    def integrand(x):
-        f = model.pdf(x)
-        if f == 0.0:
-            return 0.0
-        fp = (model.pdf(x + h) - model.pdf(x - h)) / (2.0 * h)
-        return fp * fp / f
-
-    total = 0.0
-    # piecewise to help the adaptive rule near the peak and in the tails
-    breaks = [0.0, 1.0, 5.0, 30.0, math.inf]
-    for lo, hi in zip(breaks, breaks[1:]):
-        total += quad(lambda x: integrand(x * model.delta) * model.delta,
-                      lo, hi, limit=200)[0]
-    return 2.0 * total  # even integrand
-
-
 def test_pdf_anchor_values():
     assert gg(2.0).pdf(0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-12)
     assert st(1.0).pdf(0.0) == pytest.approx(1.0 / math.pi, rel=1e-12)
@@ -152,7 +132,7 @@ def test_fisher_anchor_values():
 
 @pytest.mark.parametrize("family,beta", STANDARD_SHAPES)
 @pytest.mark.parametrize("delta", DELTAS)
-def test_fisher_matches_quadrature(family, beta, delta):
+def test_fisher_matches_quadrature(fisher_quadrature, family, beta, delta):
     m = NoiseModel(family, beta, delta)
     assert m.fisher_continuous() == pytest.approx(fisher_quadrature(m), rel=1e-6)
 

@@ -11,7 +11,7 @@ from scipy import special as sps
 
 from adaptquant.estimator import direction
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel
-from adaptquant.quantizer import MAX_NBITS, mean_field, quantize
+from adaptquant.quantizer import MAX_NBITS, mean_field
 from adaptquant.special import (
     incomplete_beta_regularized,
     regularized_gamma_p,
@@ -160,18 +160,3 @@ def test_array_direction_is_float_direction(cached_design, shape, nbits, others)
     np.testing.assert_array_equal(cells, edges.searchsorted(np.abs(keys), "right"))
     # a NaN key, from a diverged replication only, lands in cell 0
     assert direction(np.array([np.nan]), edges, ranks).tolist() == [-1.0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(models, hs.integers(2, 5), hs.one_of(hs.just(0.0), hs.floats(-1e3, 1e3)))
-def test_quantize_cell_is_direction_cell(cached_design, model, nbits, offset):
-    """At every cell edge and its float neighbours, the symbol of
-    ``quantize`` names the level that ``direction`` applies."""
-    model, spec, design = cached_design(model.family, model.beta, nbits, model.delta)
-    edges, levels = design.thresholds, design.levels
-    for t in edges:
-        for mag in (np.nextafter(t, 0.0), t, np.nextafter(t, np.inf)):
-            for y in (offset + mag, offset - mag):
-                sym = quantize(y, offset, spec, spec.c_delta * model.delta)
-                assert np.sign(sym) * levels[abs(sym) - 1] == direction(
-                    y - offset, edges, levels)

@@ -72,12 +72,11 @@ def test_signal_model_validation():
                 SignalModel(kind, **fields)
 
 
-def test_generate_path_statistics(rng):
-    const = generate_path(SignalModel(SignalKind.CONSTANT, x0=3.0), 50, rng)
-    np.testing.assert_array_equal(const, 3.0)
+def test_generate_path_statistics():
     sig = SignalModel(SignalKind.WIENER_DRIFT, x0=1.0, sigma_w=0.01, u=0.5)
-    paths = np.array([generate_path(sig, 100, np.random.default_rng(i))
-                      for i in range(400)])
+    sums = np.zeros((400, 101))
+    generate_path(sig, [np.random.default_rng(i) for i in range(400)], sums)
+    paths = sig.x0 + sums[:, 1:]
     # mean follows the drift line, variance grows linearly
     np.testing.assert_allclose(paths[:, -1].mean(), 1.0 + 0.5 * 100, rtol=1e-3)
     assert paths[:, -1].var() == pytest.approx(100 * 0.01**2, rel=0.3)
@@ -341,7 +340,9 @@ def _replication_zero(cfg):
     ``SeedSequence([seed, 0])``, each in one piece."""
     path_rng, noise_rng = map(np.random.default_rng,
                               np.random.SeedSequence([cfg.seed, 0]).spawn(2))
-    path = generate_path(cfg.signal, cfg.horizon, path_rng)
+    sums = np.zeros((1, cfg.horizon + 1))
+    generate_path(cfg.signal, [path_rng], sums)  # all 0 for a constant signal
+    path = cfg.signal.x0 + sums[0, 1:]
     return path, path + cfg.noise.sample(noise_rng, cfg.horizon)
 
 
@@ -445,6 +446,8 @@ def test_streams_match_numpy_seed_sequence(seed):
     for bad in ([2**32], [0, -1]):
         with pytest.raises(ValueError):
             simulator._streams(seed, bad, 1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        simulator._seed_words(-1 - seed, [0], 0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -64,8 +64,10 @@ def test_gamma_q_deep_tail_accuracy():
 
 
 def test_gamma_domain_errors():
-    with pytest.raises(ValueError):
-        regularized_gamma_p(0.0, 1.0)
+    for a in (0.0, -1.0):
+        for regularized_gamma in (regularized_gamma_p, regularized_gamma_q):
+            with pytest.raises(ValueError, match="shape a must be positive"):
+                regularized_gamma(a, 1.0)
     with pytest.raises(ValueError):
         regularized_gamma_p(1.0, -0.5)
 
