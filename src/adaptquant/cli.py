@@ -172,8 +172,9 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     ``config.quantizer`` is None for ``[quantizer] mode = continuous``.  A
     section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
     cannot silently fall back to a default; so does a key the run would
-    not read: ``nbits`` or ``cdelta`` in a continuous run, or a
-    ``[drift_estimator]`` key when the signal does not drift.  The only
+    not read: ``nbits`` or ``cdelta`` in a continuous run, a
+    ``[drift_estimator]`` key when the signal does not drift, or a nonzero
+    ``burn_in`` on a constant signal.  The only
     defaults here are those no dataclass field holds: signal kind constant,
     GG noise with beta 2, and a quantized mode with 2 bits and c_delta
     searched on ``DEFAULT_CDELTA_GRID``.
@@ -219,6 +220,10 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     for section, key, setting in unread:
         if key in sections.get(section, {}):
             raise ValueError(f"{path}: [{section}] {key} is not read when {setting}")
+    # a constant run's figures come from its last step, whatever burn_in says
+    if signal.kind is SignalKind.CONSTANT and sections.get("run", {}).get("burn_in", 0):
+        raise ValueError(f"{path}: [run] burn_in is not read when [signal] kind = "
+                         f"constant; leave it out or set it to 0")
     spec = None
     if mode == "quantized":
         n_intervals = _intervals(qua["nbits"], f"{path}: [quantizer] nbits")
@@ -387,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=_nonnegative_int, default=None)
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="accepted and ignored: the engine runs on one thread")
+                   help="accepted and ignored: the engine runs a chunk as two "
+                        "processes where two CPUs are usable")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
 

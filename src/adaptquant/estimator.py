@@ -30,6 +30,9 @@ class SignalKind(str, Enum):
 
 ScheduleKind = SignalKind
 
+#: the drift smoother's gain on the drift estimate, unless a run sets one
+DEFAULT_DRIFT_GAIN = 1e-5
+
 #: floor on |u_hat| in the drift gain: a zero estimate must not freeze it
 U_FLOOR = 1e-8
 
@@ -50,7 +53,7 @@ class GainSchedule:
     kind: SignalKind
     info: float
     sigma_w: float = 0.0
-    drift_gain: float = 1e-5
+    drift_gain: float = DEFAULT_DRIFT_GAIN
 
     def __post_init__(self):
         object.__setattr__(self, "kind", SignalKind(self.kind))

@@ -111,8 +111,11 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     The symbol is the signed rank of the cell that ``estimator.direction``
     finds for y - offset among the edges ``spec.tau * step``; with the step
     c_delta * delta they are ``design.thresholds``.  The tie y == offset
-    maps to +1, so the output is deterministic and never 0.
+    maps to +1, so the output is deterministic and never 0.  A non-finite
+    y or offset raises ValueError.
     """
+    if not (math.isfinite(y) and math.isfinite(offset)):
+        raise ValueError(f"observation and offset must be finite, got {y}, {offset}")
     ranks = np.arange(1, spec.n_intervals // 2 + 1)
     return int(direction(y - offset, np.asarray(spec.tau) * step, ranks))
 

@@ -1,7 +1,12 @@
 """Monte Carlo engine: replicated estimator runs, MSE curves, simulated losses.
 
 Replications are vectorized in chunks of ``CHUNK_SIZE``, run one after
-another.  Replication r of a run with seed s draws its path and its noise
+another.  Where ``os.fork`` exists, two CPUs are usable and no other
+``threading`` thread runs, a chunk of more than ``PAIRWISE_BLOCK``
+replications runs as two halves at once, the upper one in a forked child,
+split where numpy's pairwise sum splits the chunk's rows: the two halves'
+sums add up to the bits of the whole chunk's sum.
+Replication r of a run with seed s draws its path and its noise
 from two sub-streams of its own: the children 0 and 1 of
 ``SeedSequence([s, r]).spawn(2)`` (a constant signal draws no path).  The
 streams of a whole chunk are seeded in one pass by ``_seed_words``, a
@@ -24,13 +29,18 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal as _signal
+import threading
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis
-from .estimator import GainSchedule, SignalKind, advance, direction
+from .estimator import DEFAULT_DRIFT_GAIN, GainSchedule, SignalKind, advance, direction
 from .noise import Family, NoiseModel
 from .quantizer import QuantizerSpec, build_design
 
@@ -41,6 +51,11 @@ CHUNK_SIZE = 2048
 #: floats per work matrix: a chunk is run in time blocks of
 #: BLOCK_ELEMENTS // replications steps (256 at a full chunk)
 BLOCK_ELEMENTS = 2**19
+
+#: numpy's pairwise sum adds a contiguous row of at most this many floats
+#: in eight accumulators; a longer row of n is summed as its first h and
+#: last n - h elements, h = n//2 - (n//2) % 8, added once at the end
+PAIRWISE_BLOCK = 128
 
 #: a replication whose estimate exceeds this many noise scales is dropped
 DIVERGENCE_FACTOR = 1e6
@@ -103,7 +118,7 @@ class ExperimentConfig:
     burn_in: int = 0
     seed: int = 0
     initial_offset: float = 0.0
-    drift_gain: float = 1e-5
+    drift_gain: float = DEFAULT_DRIFT_GAIN
     drift_initial: float | None = 0.0
 
     def __post_init__(self):
@@ -258,10 +273,12 @@ def _streams(seed: int, reps, key: int) -> list[np.random.Generator]:
             for words in _seed_words(seed, reps, key)]
 
 
-def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
+def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray,
+                        block_reps: int | None = None):
     """Per-step Σe² over replications ``reps`` and the mask of those that diverged.
 
-    Works in time blocks on three fixed matrices of at most
+    Works in the time blocks of a run over ``block_reps`` replications
+    (default ``len(reps)``), on three fixed matrices of at most
     ``BLOCK_ELEMENTS`` floats, so memory does not depend on the horizon.
     Divergence is checked at the end of each block.  A diverged
     replication runs on and its sum is kept: the caller reruns without it.
@@ -271,7 +288,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     moving = signal.kind is not SignalKind.CONSTANT
     path_rngs = _streams(config.seed, reps, 0) if moving else None
     noise_rngs = _streams(config.seed, reps, 1)
-    block = min(config.horizon, max(1, BLOCK_ELEMENTS // n_rep))
+    block = min(config.horizon, max(1, BLOCK_ELEMENTS // (block_reps or n_rep)))
 
     info = noise.fisher_continuous() if design is None else design.info
     schedule = GainSchedule(signal.kind, info, signal.sigma_w, config.drift_gain)
@@ -316,19 +333,115 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray):
     return sumsq, dead
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class ChildTraceback(Exception):
+    """The traceback of an exception raised in the forked half of a chunk;
+    set as the ``__cause__`` of that exception when it is raised here."""
+
+
+def _send_errors(write_end: int, config: ExperimentConfig, design, reps,
+                 block_reps: int) -> None:
+    """The forked half: pickle ``(True, errors)`` of ``_replication_errors``
+    over ``reps``, or ``(False, (exception, traceback text))``, into the
+    pipe, then exit without running the parent's exit handlers.  An
+    exception that does not pickle and unpickle is sent as a
+    ``RuntimeError`` holding its traceback text."""
+    status = 1
+    try:
+        try:
+            data = pickle.dumps((True, _replication_errors(config, design, reps,
+                                                           block_reps)))
+        except BaseException as exc:
+            text = traceback.format_exc()
+            try:
+                data = pickle.dumps((False, (exc, text)))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, (RuntimeError(text), text)))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _splits(n: int) -> bool:
+    """Whether a chunk of ``n`` replications runs as two halves: more than
+    ``PAIRWISE_BLOCK`` of them, ``os.fork``, two usable CPUs, and no thread
+    started through ``threading`` beside this one, since a forked child
+    holds only the calling thread and any lock another thread held."""
+    return (n > PAIRWISE_BLOCK and hasattr(os, "fork") and _usable_cpus() >= 2
+            and threading.active_count() == 1)
+
+
+def _split_errors(config: ExperimentConfig, design, reps: np.ndarray):
+    """``_replication_errors`` over ``reps``, as two halves at once.
+
+    The parent runs ``reps[:h]`` while a forked child runs ``reps[h:]``,
+    with h the split point of numpy's pairwise sum over ``len(reps)``
+    elements, so the added halves have the bits of the sum in one piece.
+    Both halves take the time blocks of the whole of ``reps``, so the two
+    processes hold the matrices one would.  Runs in one piece unless
+    ``_splits``, or when no pipe or process can be made.  An exception in
+    the child is raised here, chained to a ``ChildTraceback``; the child
+    is always waited for.
+    """
+    n = len(reps)
+    if not _splits(n):
+        return _replication_errors(config, design, reps)
+    h = n // 2 - n // 2 % 8
+    ends = []
+    try:
+        ends.extend(os.pipe())
+        pid = os.fork()
+    except OSError:  # out of descriptors or processes: the same sums in one piece
+        for end in ends:
+            os.close(end)
+        return _replication_errors(config, design, reps)
+    read_end, write_end = ends
+    if pid == 0:
+        os.close(read_end)
+        _send_errors(write_end, config, design, reps[h:], n)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            head = _replication_errors(config, design, reps[:h], n)
+            data = pipe.read()
+        if not data:
+            raise ChildProcessError("the forked half of a chunk ended without a result")
+        ok, tail = pickle.loads(data)
+    except BaseException:
+        os.kill(pid, _signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        exc, text = tail
+        raise exc from ChildTraceback(text)
+    return head[0] + tail[0], np.concatenate([head[1], tail[1]])
+
+
 def _chunk_errors(config: ExperimentConfig, design, rep_lo, rep_hi):
     """Per-step Σe² over the replications in [rep_lo, rep_hi) that never
     diverged, their count, and the ids of the diverged ones.
 
     A chunk in which some replication diverged is run once more over the
-    survivors; they draw the same values from their own streams.
+    survivors, split at their own count; they draw the same values from
+    their own streams.
     """
     reps = np.arange(rep_lo, rep_hi)
     diverged = []
     while len(reps):
-        # a diverged replication may overflow before its block ends
+        # a diverged replication may overflow before its block ends; a
+        # forked half inherits this errstate
         with np.errstate(over="ignore", invalid="ignore"):
-            sumsq, dead = _replication_errors(config, design, reps)
+            sumsq, dead = _split_errors(config, design, reps)
         if not dead.any():
             break
         diverged.extend(reps[dead].tolist())

@@ -254,7 +254,10 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path, extra):
     ("kind = wiener\nsigma_w = 0.1", "cdelta = 0.69",
      "[drift_estimator]\ninitial = true\n",
      "[drift_estimator] initial is not read when [signal] kind = wiener"),
-], ids=["continuous_nbits", "continuous_cdelta", "constant_gain", "wiener_initial"])
+    ("kind = constant", "cdelta = 0.69", "[run]\nburn_in = 150\n",
+     "[run] burn_in is not read when [signal] kind = constant"),
+], ids=["continuous_nbits", "continuous_cdelta", "constant_gain", "wiener_initial",
+        "constant_burn_in"])
 def test_keys_the_run_does_not_read_are_rejected(tmp_path, signal, quantizer, extra,
                                                  where):
     cfg_path = tmp_path / "unread.cfg"
@@ -262,6 +265,14 @@ def test_keys_the_run_does_not_read_are_rejected(tmp_path, signal, quantizer, ex
                         f"[quantizer]\n{quantizer}\n{extra}")
     with pytest.raises(ValueError, match=re.escape(f"{cfg_path}: {where}")):
         load_experiment_config(cfg_path)
+
+
+def test_zero_burn_in_on_a_constant_signal_loads(tmp_path):
+    """``burn_in = 0`` is the value a constant run reads anyway."""
+    cfg_path = tmp_path / "constant.cfg"
+    cfg_path.write_text("[signal]\nkind = constant\n[noise]\nfamily = gg\n"
+                        "[quantizer]\ncdelta = 0.69\n[run]\nburn_in = 0\n")
+    assert load_experiment_config(cfg_path).burn_in == 0
 
 
 def test_drift_file_without_drift_estimator_takes_the_config_default(tmp_path):

@@ -79,6 +79,14 @@ def test_quantize_symbols():
     assert quantize(10.2, 10.0, spec, 1.0) == 1
 
 
+@pytest.mark.parametrize("y, offset", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (-math.inf, 0.0), (0.5, math.nan),
+                                       (0.5, math.inf)])
+def test_quantize_rejects_non_finite_input(y, offset):
+    with pytest.raises(ValueError, match="must be finite"):
+        quantize(y, offset, QuantizerSpec.uniform(4, 1.0), 1.0)
+
+
 def spec_stats(model, spec):
     """interval_stats at the absolute edges of ``spec``, as build_design forms them."""
     return interval_stats(model, np.asarray(spec.tau) * (spec.c_delta * model.delta))

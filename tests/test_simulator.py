@@ -1,7 +1,10 @@
 """Monte Carlo engine: determinism, theory agreement, and CSV output."""
 
+import errno
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -13,6 +16,7 @@ from hypothesis import strategies as hs
 from dataclasses import replace
 
 from adaptquant.estimator import (
+    DEFAULT_DRIFT_GAIN,
     EstimatorState,
     GainSchedule,
     step_continuous,
@@ -494,8 +498,8 @@ def test_diverged_replications_leave_the_sum():
                                rtol=1e-12, atol=0.0)
 
 
-def test_chunk_memory_does_not_grow_with_the_horizon():
-    """A chunk keeps one time block of draws and estimates, not the horizon."""
+def _chunk_peak_growth():
+    """tracemalloc's peak over a 256-replication chunk, 20000 steps less 2000."""
     sig = SignalModel(SignalKind.WIENER, sigma_w=0.01)
     spec, design = design_uniform(gg(2.0), 4)
     peaks = []
@@ -508,5 +512,254 @@ def test_chunk_memory_does_not_grow_with_the_horizon():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks[1] - peaks[0], peaks
+
+
+def test_chunk_memory_does_not_grow_with_the_horizon(monkeypatch):
+    """A chunk keeps one time block of draws and estimates, not the horizon.
+
+    On one CPU the chunk runs in this process and is measured whole."""
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    growth, peaks = _chunk_peak_growth()
     # one float64 matrix of the whole chunk would be 41 MB at 20000 steps
-    assert peaks[1] - peaks[0] < 3e6, peaks
+    assert growth < 3e6, peaks
+
+
+def test_split_chunk_memory_does_not_grow_with_the_horizon(monkeypatch):
+    """On two CPUs the lower half runs here, and must take the block
+    length of the whole chunk, not of its own count."""
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    growth, peaks = _chunk_peak_growth()
+    assert growth < 3e6, peaks
+
+
+def test_one_default_drift_gain():
+    """The schedule and the experiment take their drift gain from one constant."""
+    schedule = GainSchedule(SignalKind.WIENER_DRIFT, 1.0, sigma_w=1e-3)
+    assert schedule.drift_gain == make_config().drift_gain == DEFAULT_DRIFT_GAIN
+
+
+# ---- a chunk run as two halves in two processes ---------------------------
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def _split_point(n):
+    return n // 2 - n // 2 % 8
+
+
+@pytest.mark.parametrize("n", [129, 130, 136, 1000, 1024, 2000, 2047, 2048])
+def test_numpy_sum_splits_where_the_engine_splits(n):
+    """numpy's pairwise sum of a row of n > PAIRWISE_BLOCK floats is the sum
+    of its halves at the engine's split point, bit for bit, both for one
+    row and for the rows of a time-major block; a numpy that split
+    elsewhere would move the engine's bytes, and fails here instead."""
+    assert n > simulator.PAIRWISE_BLOCK
+    h = _split_point(n)
+    rng = np.random.default_rng(n)
+    block = rng.lognormal(0.0, 3.0, size=(5, n))  # many binades: rounding shows
+    row = block[0].copy()
+    assert row.sum() == row[:h].sum() + row[h:].sum()
+    head, tail = block[:, :h].copy(), block[:, h:].copy()
+    assert np.array_equal(block.sum(axis=1), head.sum(axis=1) + tail.sum(axis=1))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make the engine split on any machine and record the children it forks."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator.os, "fork", counting_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def _split_cases(reps):
+    spec, _ = design_uniform(gg(2.0), 4)
+    drift = SignalModel(SignalKind.WIENER_DRIFT, x0=0.5, sigma_w=1e-3, u=1e-3)
+    common = dict(replications=reps, horizon=120, initial_offset=0.5)
+    return {
+        "constant": make_config(quantizer=spec, **common),
+        "drift": make_config(signal=drift, noise=st(2.0), quantizer=spec,
+                             drift_initial=None, **common),
+        "continuous": make_config(signal=SignalModel(SignalKind.WIENER, sigma_w=0.01),
+                                  noise=st(3.0), quantizer=None, **common),
+    }
+
+
+@needs_fork
+@pytest.mark.parametrize("reps", [129, 1000, CHUNK_SIZE + 1])
+@pytest.mark.parametrize("case", ["constant", "drift", "continuous"])
+def test_split_halves_give_the_bytes_of_one_process(case, reps, forks, monkeypatch):
+    cfg = _split_cases(reps)[case]
+    split = run_experiment(cfg)
+    # every chunk of more than PAIRWISE_BLOCK replications forked once
+    assert len(forks) == 1
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    whole = run_experiment(cfg)
+    assert len(forks) == 1
+    assert np.array_equal(split.mse_curve, whole.mse_curve)
+    assert split.diverged == whole.diverged == 0
+    _assert_reaped(forks)
+
+
+@needs_fork
+def test_split_halves_agree_on_diverged_replications(forks, monkeypatch):
+    """The NaN-level case diverges in both halves; the survivors rerun split
+    at their own count and give the same ids and sums as in one process."""
+    cfg, one_nan = _nan_level_case()
+    cfg = replace(cfg, replications=1000)  # about 230 survivors
+    split = simulator._chunk_errors(cfg, one_nan, 0, cfg.replications)
+    assert len(forks) == 2  # the chunk, then its survivors
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    sumsq, alive, diverged = simulator._chunk_errors(cfg, one_nan, 0, cfg.replications)
+    h = _split_point(cfg.replications)
+    assert min(diverged) < h <= max(diverged)
+    assert np.array_equal(split[0], sumsq)
+    assert split[1:] == (alive, diverged)
+    _assert_reaped(forks)
+
+
+class UpperHalfError(Exception):
+    """Raised in one half of a chunk by the test below."""
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [UpperHalfError, RuntimeWarning, FloatingPointError])
+@pytest.mark.parametrize("half", ["child", "parent"])
+def test_an_exception_in_either_half_reaches_the_caller(error, half, forks, monkeypatch):
+    run_half = simulator._replication_errors
+
+    def failing(config, design, reps, *rest):
+        if (reps[0] > 0) == (half == "child"):
+            raise error(f"raised in the {half}")
+        return run_half(config, design, reps, *rest)
+    monkeypatch.setattr(simulator, "_replication_errors", failing)
+    cfg = make_config(replications=300, horizon=50)
+    with pytest.raises(error, match=f"raised in the {half}") as raised:
+        run_experiment(cfg)
+    if half == "child":  # the child's traceback is chained to it
+        assert isinstance(raised.value.__cause__, simulator.ChildTraceback)
+        assert "in failing" in str(raised.value.__cause__)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+class Unpicklable(Exception):
+    """Holds a lock, so it cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class TwoArguments(Exception):
+    """Pickles, but does not unpickle: its constructor wants two arguments."""
+
+    def __init__(self, message, code):
+        super().__init__(message)
+        self.code = code
+
+
+@needs_fork
+@pytest.mark.parametrize("raise_it", [lambda: Unpicklable("no pickle"),
+                                      lambda: TwoArguments("no unpickle", 7)])
+def test_an_exception_that_cannot_travel_arrives_as_its_traceback(raise_it, forks,
+                                                                  monkeypatch):
+    run_half = simulator._replication_errors
+
+    def failing(config, design, reps, *rest):
+        if reps[0] > 0:
+            raise raise_it()
+        return run_half(config, design, reps, *rest)
+    monkeypatch.setattr(simulator, "_replication_errors", failing)
+    with pytest.raises(RuntimeError) as raised:
+        run_experiment(make_config(replications=300, horizon=50))
+    name = type(raise_it()).__name__
+    assert f"{name}: no " in str(raised.value)
+    assert "in failing" in str(raised.value)
+    _assert_reaped(forks)
+
+
+@needs_fork
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_no_pipe_or_process_runs_the_chunk_in_one_piece(call, forks, monkeypatch):
+    """When the pipe or the child cannot be made, the chunk runs in this
+    process with the same bytes, and no descriptor is left open."""
+    cfg = make_config(replications=300, horizon=50)
+    whole = run_experiment(cfg)
+    assert len(forks) == 1
+    ends = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        ends.extend(pipe())
+        return tuple(ends[-2:])
+
+    def refused():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(simulator.os, "pipe", refused if call == "pipe" else recorded_pipe)
+    if call == "fork":
+        monkeypatch.setattr(simulator.os, "fork", refused)
+    alone = run_experiment(cfg)
+    assert np.array_equal(alone.mse_curve, whole.mse_curve)
+    assert len(ends) == (2 if call == "fork" else 0)
+    for end in ends:
+        with pytest.raises(OSError):
+            os.fstat(end)
+    _assert_reaped(forks)
+
+
+@needs_fork
+def test_a_child_that_ends_without_a_result_is_an_error(forks, monkeypatch):
+    run_half = simulator._replication_errors
+
+    def vanishing(config, design, reps, *rest):
+        if reps[0] > 0:
+            os._exit(3)
+        return run_half(config, design, reps, *rest)
+    monkeypatch.setattr(simulator, "_replication_errors", vanishing)
+    with pytest.raises(ChildProcessError, match="without a result"):
+        run_experiment(make_config(replications=300, horizon=50))
+    _assert_reaped(forks)
+
+
+def test_small_chunks_and_single_cpus_stay_in_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(simulator.os, "fork", no_fork)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    run_experiment(make_config(replications=simulator.PAIRWISE_BLOCK, horizon=50))
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 1)
+    run_experiment(make_config(replications=1000, horizon=50))
+
+
+def test_a_running_thread_keeps_the_chunk_in_one_process(monkeypatch):
+    """A forked child would hold only the calling thread, and any lock the
+    other one held: with a second thread running, nothing is forked."""
+    def no_fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(simulator.os, "fork", no_fork)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        run_experiment(make_config(replications=1000, horizon=50))
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
