@@ -1,6 +1,6 @@
 """Run the benchmark on two source trees in alternating pairs; write the record.
 
-    python tools/bench_pairs.py --parent ../parent --change . --out BENCH_24.json
+    python tools/bench_pairs.py --parent ../parent --change . --out BENCH_new.json
 
 Each tree is a source checkout holding ``bench/run.py``, ``src/`` and
 ``BENCHMARK.json``; a parent tree can be made with
