@@ -5,7 +5,8 @@ another.  Where ``os.fork`` exists, two CPUs are usable and no other
 ``threading`` thread runs, a chunk of more than ``PAIRWISE_BLOCK``
 replications runs as two halves at once, the upper one in a forked child,
 split where numpy's pairwise sum splits the chunk's rows: the two halves'
-sums add up to the bits of the whole chunk's sum.
+sums add up to the bits of the whole chunk's sum.  The child returns its
+sums through shared memory; if it fails, its half runs again in the caller.
 Replication r of a run with seed s draws its path and its noise
 from two sub-streams of its own: the children 0 and 1 of
 ``SeedSequence([s, r]).spawn(2)`` (a constant signal draws no path).  The
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 import os
-import pickle
 import signal as _signal
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -340,37 +340,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class ChildTraceback(Exception):
-    """The traceback of an exception raised in the forked half of a chunk;
-    set as the ``__cause__`` of that exception when it is raised here."""
-
-
-def _send_errors(write_end: int, config: ExperimentConfig, design, reps,
-                 block_reps: int) -> None:
-    """The forked half: pickle ``(True, errors)`` of ``_replication_errors``
-    over ``reps``, or ``(False, (exception, traceback text))``, into the
-    pipe, then exit without running the parent's exit handlers.  An
-    exception that does not pickle and unpickle is sent as a
-    ``RuntimeError`` holding its traceback text."""
-    status = 1
-    try:
-        try:
-            data = pickle.dumps((True, _replication_errors(config, design, reps,
-                                                           block_reps)))
-        except BaseException as exc:
-            text = traceback.format_exc()
-            try:
-                data = pickle.dumps((False, (exc, text)))
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((False, (RuntimeError(text), text)))
-        with open(write_end, "wb") as pipe:
-            pipe.write(data)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _splits(n: int) -> bool:
     """Whether a chunk of ``n`` replications runs as two halves: more than
     ``PAIRWISE_BLOCK`` of them, ``os.fork``, two usable CPUs, and no thread
@@ -387,43 +356,42 @@ def _split_errors(config: ExperimentConfig, design, reps: np.ndarray):
     with h the split point of numpy's pairwise sum over ``len(reps)``
     elements, so the added halves have the bits of the sum in one piece.
     Both halves take the time blocks of the whole of ``reps``, so the two
-    processes hold the matrices one would.  Runs in one piece unless
-    ``_splits``, or when no pipe or process can be made.  An exception in
-    the child is raised here, chained to a ``ChildTraceback``; the child
-    is always waited for.
+    processes hold the matrices one would.  The child writes its sums and
+    its divergence flags (as 0.0/1.0) into shared memory and exits 0.  A
+    child that exits otherwise, having raised or been killed, has its half
+    run again here: the half is deterministic, so that gives the same sums
+    or raises the same exception.  Runs in one piece unless ``_splits``, or
+    when no shared memory or process can be made.  The child is always
+    waited for.
     """
     n = len(reps)
     if not _splits(n):
         return _replication_errors(config, design, reps)
     h = n // 2 - n // 2 % 8
-    ends = []
     try:
-        ends.extend(os.pipe())
+        shared = np.frombuffer(mmap.mmap(-1, 8 * (config.horizon + n - h)))
         pid = os.fork()
-    except OSError:  # out of descriptors or processes: the same sums in one piece
-        for end in ends:
-            os.close(end)
+    except OSError:  # no shared memory or no process: the same sums in one piece
         return _replication_errors(config, design, reps)
-    read_end, write_end = ends
     if pid == 0:
-        os.close(read_end)
-        _send_errors(write_end, config, design, reps[h:], n)
-    os.close(write_end)
+        status = 1
+        try:
+            shared[:config.horizon], shared[config.horizon:] = _replication_errors(
+                config, design, reps[h:], n)
+            status = 0
+        finally:
+            os._exit(status)
     try:
-        with open(read_end, "rb") as pipe:
-            head = _replication_errors(config, design, reps[:h], n)
-            data = pipe.read()
-        if not data:
-            raise ChildProcessError("the forked half of a chunk ended without a result")
-        ok, tail = pickle.loads(data)
+        head = _replication_errors(config, design, reps[:h], n)
     except BaseException:
         os.kill(pid, _signal.SIGKILL)
         raise
     finally:
-        os.waitpid(pid, 0)
-    if not ok:
-        exc, text = tail
-        raise exc from ChildTraceback(text)
+        status = os.waitpid(pid, 0)[1]
+    if status == 0:
+        tail = shared[:config.horizon], shared[config.horizon:] != 0.0
+    else:
+        tail = _replication_errors(config, design, reps[h:], n)
     return head[0] + tail[0], np.concatenate([head[1], tail[1]])
 
 

@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from adaptquant import simulator
 from adaptquant.noise import STANDARD_SHAPES, NoiseModel
 from adaptquant.quantizer import design_uniform
 
@@ -65,3 +67,24 @@ def fisher_quadrature():
         return 2.0 * total  # even integrand
 
     return _integrate
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make the engine split a chunk on any machine and record the children
+    it forks; every one of them must have been waited for by the end of the
+    test."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulator.os, "fork", counting_fork)
+    yield pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

@@ -46,6 +46,16 @@ def test_workload_configs_load(tmp_path):
         assert (config.replications, config.horizon) == (work.replications, work.horizon)
 
 
+def _one_op(tmp_path, factory, args):
+    """The workload made by ``factory(*args)`` and its first op, run."""
+    workloads = _load("workloads")
+    work = getattr(workloads, factory)(*args)
+    work.setup(0, tmp_path)
+    op = work.next_pass()[0]
+    op.output = work.run_op(op, workloads.reset_dir(tmp_path / "out"))
+    return work, op
+
+
 @pytest.mark.parametrize("factory, args", [
     ("make", ("design_table",)),
     ("mc_constant", (8, 16)),
@@ -54,13 +64,23 @@ def test_workload_configs_load(tmp_path):
 def test_one_op_of_each_workload_runs(tmp_path, factory, args):
     # exit code and replays only: the loss band of ``check`` is set for the
     # benchmark's replication counts, not for 8
-    workloads = _load("workloads")
-    work = getattr(workloads, factory)(*args)
-    work.setup(0, tmp_path)
-    op = work.next_pass()[0]
-    op.output = work.run_op(op, workloads.reset_dir(tmp_path / "out"))
+    work, op = _one_op(tmp_path, factory, args)
     assert op.output[0] == 0
     assert all(error is None for _, error in work.run_checks([op]))
+
+
+@pytest.mark.parametrize("factory, args", [
+    ("mc_constant", (256, 16)),
+    ("mc_drift_long", (256, 32, 4)),
+], ids=["mc_constant", "mc_drift_long"])
+def test_one_op_of_each_workload_runs_split(tmp_path, forks, factory, args):
+    # 256 replications exceed PAIRWISE_BLOCK, so on two CPUs the op and each
+    # replay (mc_drift_long's threads=2 one included) run a forked half
+    work, op = _one_op(tmp_path, factory, args)
+    assert op.output[0] == 0 and len(forks) >= 1
+    checks = work.run_checks([op])
+    assert [error for _, error in checks] == [None] * len(checks)
+    assert len(forks) >= 1 + len(checks)
 
 
 def test_one_pass_of_online_scalar_runs(tmp_path):
