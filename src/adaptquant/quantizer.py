@@ -11,11 +11,11 @@ carried by one quantized observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import direction
+from .estimator import direction, signed_levels
 from .noise import Family, NoiseModel
 
 
@@ -96,6 +96,9 @@ class QuantizerDesign:
     levels[i] : output level for symbol i+1 (odd-extended to the negative side)
     info      : Fisher information of one quantized observation
     thresholds: finite positive cell edges, tau * c_delta * delta
+    signed    : ``estimator.signed_levels(levels)``, the table that
+                ``estimator.direction`` reads; set from ``levels`` here,
+                so ``replace(design, levels=...)`` renews it
     """
 
     probs: np.ndarray
@@ -103,6 +106,10 @@ class QuantizerDesign:
     levels: np.ndarray
     info: float
     thresholds: np.ndarray
+    signed: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signed", signed_levels(self.levels))
 
 
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
@@ -117,7 +124,7 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     if not (math.isfinite(y) and math.isfinite(offset)):
         raise ValueError(f"observation and offset must be finite, got {y}, {offset}")
     ranks = np.arange(1, spec.n_intervals // 2 + 1)
-    return int(direction(y - offset, np.asarray(spec.tau) * step, ranks))
+    return int(direction(y - offset, np.asarray(spec.tau) * step, signed_levels(ranks)))
 
 
 def interval_stats(model: NoiseModel, thresholds):

@@ -320,7 +320,7 @@ def _replication_errors(config: ExperimentConfig, design, reps: np.ndarray,
             k = start + i + 1
             diff = obs[i] - x_hat
             d = (-noise.score(diff) if design is None
-                 else direction(diff, design.thresholds, design.levels))
+                 else direction(diff, design.thresholds, design.signed))
             x_hat, u_hat = advance(schedule, k, x_hat, u_hat, d)
             obs[i] = x_hat
         x_hats = obs[:steps]
@@ -532,7 +532,8 @@ def write_result_csv(result: ExperimentResult, path) -> None:
     for key in sorted(result.metadata):
         lines.append(f"# {key} = {result.metadata[key]}")
     lines.append("k,mse,theory_mse")
-    for i, (m, t) in enumerate(zip(result.mse_curve, result.theory_mse_curve), 1):
+    for i, (m, t) in enumerate(zip(result.mse_curve.tolist(),
+                                  result.theory_mse_curve.tolist()), 1):
         lines.append(f"{i},{m:.12g},{t:.12g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -418,6 +418,25 @@ LAYOUT_PINS = {
         horizon = 50
         seed = 20240803
         """, "6c8000ac163825ab6d91c9e39070034d9102ec1babbdd7ba958175e2235d882b"),
+    # the drift gain and a 3-bit direction over 256 replications, a chunk
+    # that runs as two processes
+    "drift_st2_nb3": ("""\
+        [signal]
+        kind = wiener_drift
+        sigma_w = 1e-4
+        u = 1e-4
+        [noise]
+        family = st
+        beta = 2
+        [quantizer]
+        nbits = 3
+        [run]
+        replications = 256
+        horizon = 64
+        seed = 20240804
+        [drift_estimator]
+        initial = true
+        """, "336eb3b06433a7076d7795397f81b5dfa869451d41c2dcf5acca7c5510dc9d37"),
 }
 
 

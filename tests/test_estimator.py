@@ -199,14 +199,14 @@ def test_schedule_kind_is_the_signal_kind():
 
 def test_direction_on_floats_and_arrays(gauss_design):
     m, spec, design = gauss_design
-    thr, levels = design.thresholds, design.levels
+    thr, levels, signed = design.thresholds, design.levels, design.signed
     step = spec.c_delta * m.delta
     np.testing.assert_array_equal(thr, np.asarray(spec.tau) * step)
     diffs = np.array([-3.0, -0.5, -0.0, 0.0, 0.5, 3.0]) * step
     expected = [-levels[-1], -levels[0], levels[0], levels[0], levels[0], levels[-1]]
-    assert [direction(float(d), thr, levels) for d in diffs] == expected
-    assert [direction(d, thr, levels) for d in diffs] == expected  # numpy float64
-    np.testing.assert_array_equal(direction(diffs, thr, levels), expected)
+    assert [direction(float(d), thr, signed) for d in diffs] == expected
+    assert [direction(d, thr, signed) for d in diffs] == expected  # numpy float64
+    np.testing.assert_array_equal(direction(diffs, thr, signed), expected)
 
 
 def test_advance_on_floats_and_arrays():

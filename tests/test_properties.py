@@ -1,5 +1,5 @@
 """Hypothesis properties of the special functions, the tail probabilities,
-the quantized update direction and the mean field."""
+the quantized update direction, the drift gain and the mean field."""
 
 import math
 
@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy import special as sps
 
-from adaptquant.estimator import direction
+from adaptquant.estimator import (
+    U_FLOOR,
+    GainSchedule,
+    SignalKind,
+    direction,
+    gain,
+    signed_levels,
+)
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel
 from adaptquant.quantizer import MAX_NBITS, mean_field
 from adaptquant.special import (
@@ -127,16 +134,16 @@ def test_incomplete_beta_matches_scipy(a, b, xs):
        hs.lists(hs.one_of(hs.floats(-20.0, 20.0), reals), min_size=1, max_size=8))
 def test_direction_is_odd(cached_design, model, nbits, ratios):
     _, _, design = cached_design(model.family, model.beta, nbits, model.delta)
-    edges, levels = design.thresholds, design.levels
+    edges, levels, signed = design.thresholds, design.levels, design.signed
     diffs = [r * model.delta for r in ratios if r * model.delta != 0.0]
     for d in diffs:
-        assert direction(-d, edges, levels) == -direction(d, edges, levels)
+        assert direction(-d, edges, signed) == -direction(d, edges, signed)
     diffs = np.array(diffs)
-    np.testing.assert_array_equal(direction(-diffs, edges, levels),
-                                  -direction(diffs, edges, levels))
+    np.testing.assert_array_equal(direction(-diffs, edges, signed),
+                                  -direction(diffs, edges, signed))
     # the tie at the offset maps to the first positive cell
-    assert direction(0.0, edges, levels) == levels[0]
-    assert direction(np.zeros(2), edges, levels).tolist() == [levels[0]] * 2
+    assert direction(0.0, edges, signed) == levels[0]
+    assert direction(np.zeros(2), edges, signed).tolist() == [levels[0]] * 2
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,15 +155,41 @@ def test_array_direction_is_float_direction(cached_design, shape, nbits, others)
     negatives, the signed zeros, the infinities and other keys, and it
     applies the level that the float path applies."""
     _, _, design = cached_design(*shape, nbits)
-    edges, levels = design.thresholds, design.levels
+    edges, signed = design.thresholds, design.signed
     mags = np.concatenate([np.nextafter(edges, 0.0), edges,
                            np.nextafter(edges, np.inf)])
     keys = np.concatenate([mags, -mags, [0.0, -0.0, np.inf, -np.inf], others])
-    assert direction(keys, edges, levels).tolist() == [
-        direction(float(k), edges, levels) for k in keys]
+    assert direction(keys, edges, signed).tolist() == [
+        direction(float(k), edges, signed) for k in keys]
     # with level i + 1 in cell i, |direction| - 1 is the cell
-    ranks = np.arange(1.0, len(levels) + 1.0)
+    ranks = signed_levels(np.arange(1.0, len(design.levels) + 1.0))
     cells = np.abs(direction(keys, edges, ranks)) - 1.0
     np.testing.assert_array_equal(cells, edges.searchsorted(np.abs(keys), "right"))
     # a NaN key, from a diverged replication only, lands in cell 0
     assert direction(np.array([np.nan]), edges, ranks).tolist() == [-1.0]
+
+
+u_hats = hs.one_of(hs.floats(-1e150, 1e150), hs.floats(-2 * U_FLOOR, 2 * U_FLOOR),
+                   hs.sampled_from((0.0, -0.0, math.nan)))
+infos = hs.floats(1e-3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(infos, hs.lists(u_hats, min_size=1, max_size=8))
+def test_drift_gain_is_the_formula(info, us):
+    """The drift gain has the bits of (4 m^2 / info^2)^(1/3), m = max(|u|,
+    U_FLOOR), on floats and arrays, below the floor, at +-0 and NaN."""
+    schedule = GainSchedule(SignalKind.WIENER_DRIFT, info)
+    us = np.array(us)
+    m = np.maximum(np.abs(us), U_FLOOR)
+    want = np.power(4.0 * m * m / info**2, 1.0 / 3.0)
+    np.testing.assert_array_equal(gain(schedule, 1, us), want)
+    np.testing.assert_array_equal([gain(schedule, 1, float(u)) for u in us], want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hs.floats(2.0, 1e3), hs.floats(6.7e153, 1.34e154), signs)
+def test_drift_gain_is_finite_where_four_u_squared_overflows(info, u, sign):
+    schedule = GainSchedule(SignalKind.WIENER_DRIFT, info)
+    assert math.isfinite(gain(schedule, 1, sign * u))
+    assert math.isfinite(gain(schedule, 1, np.array([sign * u]))[0])

@@ -1,5 +1,6 @@
 """Quantizer construction, information, and output-level optimization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.integrate import quad
 
+from adaptquant.estimator import signed_levels
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
     MAX_NBITS,
@@ -361,6 +363,25 @@ def test_load_design_rejects_levels_and_info_off_the_geometry(tmp_path):
     edited.write_text("# an edited table\n\n" + edited.read_text())
     _, _, loaded = load_design(edited)
     assert loaded.info == design.info * (1 + 1e-12)
+
+
+def test_signed_table_follows_the_levels(tmp_path):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    np.testing.assert_array_equal(design.signed, signed_levels(design.levels))
+    np.testing.assert_array_equal(design.signed[1::2], design.levels)
+    np.testing.assert_array_equal(design.signed[0::2], -design.levels)
+    moved = dataclasses.replace(design, levels=design.levels * 3.0)
+    np.testing.assert_array_equal(moved.signed, signed_levels(design.levels * 3.0))
+    # a loaded table whose eta is off by less than LOAD_RTOL signs its own eta
+    eta = design.levels * (1 + 1e-12)
+    assert not np.array_equal(eta, design.levels)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    edited = edited_table(path, eta=",".join(repr(float(v)) for v in eta))
+    _, _, loaded = load_design(edited)
+    np.testing.assert_array_equal(loaded.levels, eta)
+    np.testing.assert_array_equal(loaded.signed, signed_levels(eta))
 
 
 def test_load_design_names_a_missing_key(tmp_path):
