@@ -135,8 +135,6 @@ def mse_drift_tradeoff(gamma: float, u: float, info: float) -> float:
 
 #: longest RK4 step of ``ode_mean_trajectory``, in harmonic time
 ODE_MAX_DT = 0.05
-#: largest |mean_field(0)| that ``check_stability`` accepts as zero
-ZERO_TOL = 1e-12
 
 
 def ode_mean_trajectory(model: NoiseModel, design: QuantizerDesign,
@@ -201,5 +199,5 @@ def check_stability(model: NoiseModel, design: QuantizerDesign) -> StabilityRepo
     lyap = 2.0 * eps * h
     bad = lyap >= 0.0
     violations = list(zip(eps[bad].tolist(), h[bad].tolist(), lyap[bad].tolist()))
-    passed = abs(h0) <= ZERO_TOL and not violations
+    passed = h0 == 0.0 and not violations
     return StabilityReport(passed=passed, h_at_zero=h0, violations=violations)

@@ -33,6 +33,7 @@ from .quantizer import (
     save_design,
 )
 from .simulator import (
+    DivergenceError,
     ExperimentConfig,
     SignalKind,
     SignalModel,
@@ -171,13 +172,13 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
 
     ``config.quantizer`` is None for ``[quantizer] mode = continuous``.  A
     section or key outside ``CONFIG_KEYS`` raises ValueError, so a typo
-    cannot silently fall back to a default; so does a key the run would
-    not read: ``nbits`` or ``cdelta`` in a continuous run, a
-    ``[drift_estimator]`` key when the signal does not drift, or a nonzero
-    ``burn_in`` on a constant signal.  The only
-    defaults here are those no dataclass field holds: signal kind constant,
-    GG noise with beta 2, and a quantized mode with 2 bits and c_delta
-    searched on ``DEFAULT_CDELTA_GRID``.
+    cannot silently fall back to a default; so does a key the run would not
+    read (``nbits`` or ``cdelta`` in a continuous run, a ``[drift_estimator]``
+    key when the signal does not drift), and a value a dataclass refuses,
+    such as a nonzero ``burn_in`` on a constant signal, with the path in
+    front.  The only defaults here are those no dataclass field holds:
+    signal kind constant, GG noise with beta 2, and a quantized mode with 2
+    bits and c_delta searched on ``DEFAULT_CDELTA_GRID``.
     """
     parser = configparser.ConfigParser()
     try:
@@ -202,8 +203,15 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     for name in ("signal", "noise"):
         if name not in sections:
             raise ValueError(f"{path}: missing section [{name}]")
-    signal = SignalModel(**{"kind": SignalKind.CONSTANT, **sections["signal"]})
-    noise = NoiseModel(**{"family": Family.GG, "beta": 2.0, **sections["noise"]})
+
+    def build(cls, *args, **kwargs):
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:  # a dataclass's own rule, for this file's values
+            raise ValueError(f"{path}: {exc}") from exc
+
+    signal = build(SignalModel, **{"kind": SignalKind.CONSTANT, **sections["signal"]})
+    noise = build(NoiseModel, **{"family": Family.GG, "beta": 2.0, **sections["noise"]})
     qua = {"mode": "quantized", "nbits": 2, "cdelta": None,
            **sections.get("quantizer", {})}
     mode = qua["mode"]
@@ -220,23 +228,19 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     for section, key, setting in unread:
         if key in sections.get(section, {}):
             raise ValueError(f"{path}: [{section}] {key} is not read when {setting}")
-    # a constant run's figures come from its last step, whatever burn_in says
-    if signal.kind is SignalKind.CONSTANT and sections.get("run", {}).get("burn_in", 0):
-        raise ValueError(f"{path}: [run] burn_in is not read when [signal] kind = "
-                         f"constant; leave it out or set it to 0")
     spec = None
     if mode == "quantized":
         n_intervals = _intervals(qua["nbits"], f"{path}: [quantizer] nbits")
         if qua["cdelta"] is None:
             spec, _ = design_uniform(noise, n_intervals)
         else:
-            spec = QuantizerSpec.uniform(n_intervals, qua["cdelta"])
+            spec = build(QuantizerSpec.uniform, n_intervals, qua["cdelta"])
     run = sections.get("run", {})
     if seed_override is not None:
         run["seed"] = seed_override
     drift = {f"drift_{key}": value
              for key, value in sections.get("drift_estimator", {}).items()}
-    return ExperimentConfig(signal, noise, spec, **run, **drift)
+    return build(ExperimentConfig, signal, noise, spec, **run, **drift)
 
 
 def cmd_simulate(args) -> int:
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # DesignError, a missing file, ...
+    except (ValueError, OSError, DivergenceError) as exc:  # DesignError, no file, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

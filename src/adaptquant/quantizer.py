@@ -127,23 +127,24 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     return int(direction(y - offset, np.asarray(spec.tau) * step, signed_levels(ranks)))
 
 
-def interval_stats(model: NoiseModel, thresholds):
-    """Cell masses and density drops for offset at the parameter.
+def interval_stats(model: NoiseModel, thresholds, shift=0.0):
+    """Cell masses and density drops of the positive cells at the error ``shift``.
 
     ``thresholds`` holds absolute finite positive cell edges t_1 < ... along
     the last axis: shape (N/2 - 1,) for one design or (rows, N/2 - 1) for
-    many.  Returns (probs, drops) over the positive half-line, of the same
-    leading shape, with t_0 = 0 and t_{N/2} = +inf:
-    probs[..., i] = F(t_{i+1}) - F(t_i) and
-    drops[..., i] = f(t_i) - f(t_{i+1}), with f(inf) = 0.
-    One ``sf`` and one ``pdf`` call cover every row; degenerate rows are
-    returned, not rejected.
+    many; ``shift``, a float or a column of errors, broadcasts against the
+    leading shape.  With t_0 = 0 and t_{N/2} = +inf, returns (probs, drops):
+    probs[..., i] = sf(shift + t_i) - sf(shift + t_{i+1}) and
+    drops[..., i] = f(shift + t_i) - f(shift + t_{i+1}), with f(inf) = 0.
+    The noise is symmetric: negative cell i's mass at ``shift`` is positive
+    cell i's at ``-shift``.  One ``sf`` and one ``pdf`` call cover every
+    row; degenerate rows are returned, not rejected.
     """
     thresholds = np.asarray(thresholds, dtype=float)
-    column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0; sf, pdf at inf
-    edges = np.concatenate((column, thresholds), axis=-1)
-    probs = -np.diff(np.concatenate((model.sf(edges), column), axis=-1), axis=-1)
-    drops = -np.diff(np.concatenate((model.pdf(edges), column), axis=-1), axis=-1)
+    column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0
+    edges = shift + np.concatenate((column, thresholds), axis=-1)  # x + 0.0 == x
+    probs = -np.diff(model.sf(edges), append=0.0)  # sf and pdf are 0 at the edge inf
+    drops = -np.diff(model.pdf(edges), append=0.0)
     return probs, drops
 
 
@@ -249,19 +250,14 @@ def mean_field(model: NoiseModel, design: QuantizerDesign, eps):
     valid symmetric design, which is what makes the recursion stable.
 
     ``eps`` is a float (a float is returned) or an array of errors (an
-    array of their values).  The cell masses come from one ``sf`` call at
-    every eps and every eps +- each finite edge of ``design.thresholds``;
-    sf is 0 at the edge +inf and 1 at -inf.
+    array of their values).  The cell masses come from one ``interval_stats``
+    call on the stacked errors (eps, -eps), so the mean field is exactly odd
+    and, with finite levels, exactly 0 at eps = 0.
     """
     eps = np.asarray(eps, dtype=float)
-    column = eps.reshape(-1, 1)
-    edges = design.thresholds
-    sf = model.sf(np.concatenate((column, column + edges, column - edges), axis=1))
-    upper = np.concatenate((sf[:, :len(edges) + 1], np.zeros_like(column)), axis=1)
-    lower = np.concatenate((sf[:, :1], sf[:, len(edges) + 1:], np.ones_like(column)),
-                           axis=1)
-    # a cell's mass above eps minus its mirror's below, times its level
-    total = np.sum(design.levels * (-np.diff(upper) - np.diff(lower)), axis=1)
+    probs, _ = interval_stats(model, design.thresholds, np.append(eps, -eps)[:, None])
+    # a positive cell's mass minus its mirror's, times its level
+    total = np.sum(design.levels * (probs[:eps.size] - probs[eps.size:]), axis=1)
     return total.reshape(eps.shape) if eps.ndim else float(total[0])
 
 

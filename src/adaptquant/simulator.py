@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"need horizon > burn_in >= 0, got {self.horizon}, {self.burn_in}"
             )
+        if self.burn_in and self.signal.kind is SignalKind.CONSTANT:
+            raise ValueError("burn_in is not read on a constant signal; set it to 0")
         if not 0.0 < self.drift_gain < math.inf:
             raise ValueError(
                 f"drift_gain must be positive and finite, got {self.drift_gain}")

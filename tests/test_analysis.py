@@ -190,7 +190,7 @@ def test_stability_holds_for_standard_designs(family, beta, nbits):
     _, design = design_uniform(m, 2 ** nbits)
     report = check_stability(m, design)
     assert report.passed
-    assert abs(report.h_at_zero) <= 1e-12
+    assert report.h_at_zero == 0.0
     assert report.violations == []
 
 
@@ -205,3 +205,19 @@ def test_stability_detects_sign_flip():
     report = check_stability(m, broken)
     assert not report.passed
     assert len(report.violations) > 0
+
+
+def test_stability_fails_a_nan_level():
+    """A NaN level makes every mean-field value NaN: no sign test flags it,
+    and the exact zero at eps = 0 is what fails."""
+    from adaptquant.quantizer import QuantizerDesign
+
+    m = gg(2.0)
+    _, design = design_uniform(m, 4)
+    broken = QuantizerDesign(design.probs, design.drops,
+                             np.array([design.levels[0], math.nan]),
+                             design.info, design.thresholds)
+    report = check_stability(m, broken)
+    assert not report.passed
+    assert math.isnan(report.h_at_zero)
+    assert report.violations == []

@@ -255,7 +255,7 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path, extra):
      "[drift_estimator]\ninitial = true\n",
      "[drift_estimator] initial is not read when [signal] kind = wiener"),
     ("kind = constant", "cdelta = 0.69", "[run]\nburn_in = 150\n",
-     "[run] burn_in is not read when [signal] kind = constant"),
+     "burn_in is not read on a constant signal; set it to 0"),
 ], ids=["continuous_nbits", "continuous_cdelta", "constant_gain", "wiener_initial",
         "constant_burn_in"])
 def test_keys_the_run_does_not_read_are_rejected(tmp_path, signal, quantizer, extra,
@@ -339,6 +339,28 @@ def test_simulate_command(tmp_path, capsys):
     assert (tmp_path / "out" / "small.summary").exists()
     # the flag parses but reaches no engine, so the manifest does not record it
     assert "threads" not in (tmp_path / "out" / "small.manifest").read_text()
+
+
+def test_simulate_where_every_replication_diverges_is_an_error_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "far.cfg", """\
+        [signal]
+        kind = constant
+
+        [noise]
+        family = gg
+        beta = 2.0
+
+        [run]
+        replications = 8
+        horizon = 10
+        initial_offset = 1e7
+        """)
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 8 replications diverged: [0, 1, 2, 3, 4, 5, 6, 7]")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_seed_override_changes_output(tmp_path):

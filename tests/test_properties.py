@@ -96,9 +96,9 @@ def test_cdf_and_sf_float_equals_array(case):
 def test_mean_field_is_odd_and_restoring(cached_design, model, nbits, r, log_r, sign):
     _, _, design = cached_design(model.family, model.beta, nbits, model.delta)
     eps = r * model.delta
-    # the mean field is in units of 1/delta: compare it at delta = 1
-    odd_gap = mean_field(model, design, eps) + mean_field(model, design, -eps)
-    assert abs(odd_gap) * model.delta <= 1e-14
+    # (eps, -eps) are one interval_stats call's two halves, swapped: exact
+    assert mean_field(model, design, -eps) == -mean_field(model, design, eps)
+    assert mean_field(model, design, 0.0) == 0.0
     eps = sign * math.exp(log_r) * model.delta
     assert eps * mean_field(model, design, eps) < 0.0
 

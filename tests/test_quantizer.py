@@ -121,6 +121,43 @@ def test_interval_stats_against_quadrature(family, beta, nbits):
     assert probs.sum() == pytest.approx(0.5, rel=1e-10)
 
 
+def shifted_stats(model, thresholds, shift):
+    """interval_stats as a loop: sf and pdf differences at each shifted edge
+    shift + t, one float at a time, with t_0 = 0 and 0 at the edge inf."""
+    edges = [0.0, *thresholds]
+    sf = [model.sf(shift + t) for t in edges] + [0.0]
+    pdf = [model.pdf(shift + t) for t in edges] + [0.0]
+    return ([a - b for a, b in zip(sf, sf[1:])],
+            [a - b for a, b in zip(pdf, pdf[1:])])
+
+
+@pytest.mark.parametrize("family,beta", [("gg", 2.0), ("gg", 1.5), ("st", 1.0)])
+@pytest.mark.parametrize("n_edges", [0, 1, 4])
+def test_interval_stats_at_a_shift_are_the_shifted_edge_differences(family, beta,
+                                                                    n_edges):
+    """At a float shift and at a column of shifts, the cell masses and drops
+    are, bit for bit, the sf and pdf differences at the shifted edges; no
+    shift gives the bits of shift 0."""
+    m = NoiseModel(family, beta, 0.7)
+    thresholds = np.cumsum(np.random.default_rng(50 + n_edges).uniform(0.05, 2.0,
+                                                                       n_edges))
+    shifts = [0.37, -1.2, 0.0, -0.0, 25.0]
+    for shift in shifts:
+        probs, drops = interval_stats(m, thresholds, shift)
+        want_p, want_d = shifted_stats(m, thresholds, shift)
+        np.testing.assert_array_equal(probs, want_p)
+        np.testing.assert_array_equal(drops, want_d)
+    probs, drops = interval_stats(m, thresholds, np.array(shifts)[:, None])
+    assert probs.shape == drops.shape == (len(shifts), n_edges + 1)
+    for shift, p, d in zip(shifts, probs, drops):
+        want_p, want_d = shifted_stats(m, thresholds, shift)
+        np.testing.assert_array_equal(p, want_p)
+        np.testing.assert_array_equal(d, want_d)
+    for got, want in zip(interval_stats(m, thresholds),
+                         interval_stats(m, thresholds, 0.0)):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("family,beta", [("gg", 2.0), ("gg", 1.5), ("st", 3.0)])
 @pytest.mark.parametrize("n_edges", [0, 1, 4])
 def test_interval_stats_rows_equal_single_designs(family, beta, n_edges):
@@ -480,16 +517,21 @@ def test_mean_field_evaluates_each_edge_once(nbits, cached_design, monkeypatch):
         return sf(self, x)
 
     monkeypatch.setattr(NoiseModel, "sf", counting_sf)
-    for eps in [0.37, -1.2, 0.0]:
+    half = 2**nbits // 2
+    for eps in [0.37, -1.2]:
         points.clear()
         mean_field(model, design, eps)
-        # one sf call at eps and at eps +- each finite edge, every point once
+        # one sf call at +-eps plus each edge t_0 = 0 .. t_{N/2-1}, every point once
         assert len(points) == 1
         values = np.ravel(points[0]).tolist()
-        assert len(values) == 2 * (2**nbits // 2) - 1
+        assert len(values) == 2 * half
         assert len(set(values)) == len(values)
-    # an array of errors: still one call, one row of points per error
+    # at eps = 0 the two rows of points coincide, so the masses cancel exactly
+    points.clear()
+    assert mean_field(model, design, 0.0) == 0.0
+    assert len(points) == 1 and np.shape(points[0]) == (2, half)
+    # an array of errors: still one call, one row of points per error and sign
     points.clear()
     eps = np.array([0.37, -1.2, 0.0])
     mean_field(model, design, eps)
-    assert len(points) == 1 and np.shape(points[0]) == (3, 2 * (2**nbits // 2) - 1)
+    assert len(points) == 1 and np.shape(points[0]) == (6, half)

@@ -100,6 +100,9 @@ def test_config_validation():
             make_config(**overrides)
     with pytest.raises(ValueError, match="seed"):
         make_config(seed=-1)
+    # a constant run's figures come from its last step, whatever burn_in says
+    with pytest.raises(ValueError, match="burn_in is not read on a constant signal"):
+        make_config(burn_in=5)
 
 
 def test_determinism_same_seed_and_threads():

@@ -19,13 +19,19 @@ The runs go through ``adaptquant.cli.main`` in a fresh temporary directory:
 
 One ``sha256  name`` line is printed per output, sorted by name, with the
 ``wall_time_s`` line of each ``.summary`` file left out of its digest; every
-other byte is fixed by the inputs.  Two versions of the package that print
-the same lines write the same bytes.  PYTHONPATH chooses the package under
-test, and the configs are those next to this script:
+other byte is fixed by the inputs.  The CSVs round the MSE curve to 12
+digits, which can hide a last-ulp change in the recursion, so one more line
+per Monte Carlo run, in run order, digests the raw bytes of its
+``mse_curve``, read through a wrapper of ``cli.run_experiment``:
+``mse_curve/<run index>_<signal>_<noise>_<nbits or continuous>``.  That is
+53 output lines and 81 run lines (4 configs, 2 lookup, 3 continuous and 72
+``figures`` runs).  Two versions of the package that print the same lines
+write the same bytes and compute the same curves.  PYTHONPATH chooses the
+package under test, and the configs are those next to this script:
 
     PYTHONPATH=src python tools/fixed_seed_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/fixed_seed_digests.py > parent.txt
-    diff parent.txt change.txt
+    diff parent.txt change.txt  # no output: all 134 lines agree
 """
 
 from __future__ import annotations
@@ -128,19 +134,38 @@ def digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def run_name(config) -> str:
+    """``<signal>_<noise>_<nbits or continuous>`` of an ExperimentConfig."""
+    quantizer = config.quantizer
+    return (f"{config.signal.kind.value}_{config.noise.family.value}"
+            f"{config.noise.beta:g}_"
+            + ("continuous" if quantizer is None else f"nb{quantizer.nbits}"))
+
+
 def main() -> int:
     print(f"# adaptquant from {Path(cli.__file__).parent}", file=sys.stderr)
     cwd = Path.cwd()
+    run_experiment, curves = cli.run_experiment, []
+
+    def recorded(config):
+        result = run_experiment(config)
+        curves.append((run_name(config), result.mse_curve.tobytes()))
+        return result
+
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(ROOT / "configs", Path(tmp, "configs"))
         os.chdir(tmp)
+        cli.run_experiment = recorded
         try:
             write_outputs()
             out = Path("out")
             for path in sorted(p for p in out.rglob("*") if p.is_file()):
                 print(f"{digest(path)}  {path.relative_to(out).as_posix()}")
         finally:
+            cli.run_experiment = run_experiment
             os.chdir(cwd)
+    for i, (name, data) in enumerate(curves):
+        print(f"{hashlib.sha256(data).hexdigest()}  mse_curve/{i:03d}_{name}")
     return 0
 
 
