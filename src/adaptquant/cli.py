@@ -204,10 +204,10 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
         if name not in sections:
             raise ValueError(f"{path}: missing section [{name}]")
 
-    def build(cls, *args, **kwargs):
+    def build(make, *args, **kwargs):
         try:
-            return cls(*args, **kwargs)
-        except ValueError as exc:  # a dataclass's own rule, for this file's values
+            return make(*args, **kwargs)
+        except ValueError as exc:  # a dataclass's rule or a failed search, for this file
             raise ValueError(f"{path}: {exc}") from exc
 
     signal = build(SignalModel, **{"kind": SignalKind.CONSTANT, **sections["signal"]})
@@ -232,7 +232,7 @@ def load_experiment_config(path, seed_override=None) -> ExperimentConfig:
     if mode == "quantized":
         n_intervals = _intervals(qua["nbits"], f"{path}: [quantizer] nbits")
         if qua["cdelta"] is None:
-            spec, _ = design_uniform(noise, n_intervals)
+            spec, _ = build(design_uniform, noise, n_intervals)
         else:
             spec = build(QuantizerSpec.uniform, n_intervals, qua["cdelta"])
     run = sections.get("run", {})

@@ -432,8 +432,9 @@ def _aggregate(config: ExperimentConfig, design):
         alive += n_alive
         diverged.extend(div)
     if alive == 0:
+        more = "..." if len(diverged) > 10 else ""
         raise DivergenceError(
-            f"all {config.replications} replications diverged: {diverged[:10]}..."
+            f"all {config.replications} replications diverged: {diverged[:10]}{more}"
         )
     return total / alive, diverged
 

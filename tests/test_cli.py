@@ -341,6 +341,23 @@ def test_simulate_command(tmp_path, capsys):
     assert "threads" not in (tmp_path / "out" / "small.manifest").read_text()
 
 
+def test_simulate_whose_cdelta_search_fails_names_the_file(tmp_path, capsys):
+    cfg_path = write_config(tmp_path / "flat.cfg", """\
+        [signal]
+        kind = constant
+
+        [noise]
+        family = gg
+        beta = 0.01
+        """)
+    rc = main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {cfg_path}: no valid design on c_delta grid "
+                   "(0.01, 10.0, 0.01)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_where_every_replication_diverges_is_an_error_line(tmp_path, capsys):
     cfg_path = write_config(tmp_path / "far.cfg", """\
         [signal]

@@ -246,10 +246,10 @@ def use_design(monkeypatch, design):
     monkeypatch.setattr(simulator, "build_design", lambda noise, spec: design)
 
 
-def test_all_replications_diverging_raises(monkeypatch):
-    """A grossly mis-scaled gain drives every replication past the guard."""
+def _absurd_levels_config(monkeypatch, replications):
+    """A config whose every replication diverges: a grossly mis-scaled
+    gain drives each past the guard."""
     from adaptquant.quantizer import QuantizerDesign, interval_stats
-    from adaptquant.simulator import DivergenceError
 
     m = gg(2.0)
     spec = QuantizerSpec.uniform(2, 1.0)
@@ -258,12 +258,24 @@ def test_all_replications_diverging_raises(monkeypatch):
     design = QuantizerDesign(probs, drops, np.array([1e9]),
                              info=4.0 / math.pi, thresholds=np.array([]))
     sig = SignalModel(SignalKind.WIENER, sigma_w=1.0)
-    cfg = make_config(signal=sig, noise=m, quantizer=spec, replications=20,
-                      horizon=100, burn_in=10, seed=29)
     use_design(monkeypatch, design)
+    return make_config(signal=sig, noise=m, quantizer=spec, replications=replications,
+                       horizon=100, burn_in=10, seed=29)
+
+
+def test_all_replications_diverging_raises(monkeypatch):
+    """The message lists the first 10 diverged replications, then "..."."""
+    cfg = _absurd_levels_config(monkeypatch, 20)
     with pytest.raises(DivergenceError, match=re.escape(
             "all 20 replications diverged: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]...")):
         run_experiment(cfg)
+
+
+def test_all_of_ten_or_fewer_diverging_lists_them_with_no_ellipsis(monkeypatch):
+    cfg = _absurd_levels_config(monkeypatch, 8)
+    with pytest.raises(DivergenceError) as info:
+        run_experiment(cfg)
+    assert str(info.value) == "all 8 replications diverged: [0, 1, 2, 3, 4, 5, 6, 7]"
 
 
 def _nan_level_case():
