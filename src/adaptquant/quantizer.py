@@ -11,7 +11,9 @@ carried by one quantized observation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +36,10 @@ MIN_INTERVAL_MASS = 1e-300
 MAX_NBITS = 10
 
 #: the most grid points x N/2 (the edges and 0) that the c_delta search
-#: takes: its peak RSS grows by about 150 bytes each (measured, 0.5-2.6
-#: million), so this cap holds it to about 0.3 GB above the interpreter
+#: takes, and the most that its geometry cache holds in all: a search's
+#: peak RSS grows by 53-84 bytes each, the cached geometry's index (8 bytes
+#: each) and distinct edges included (measured at 2**21, 2 to 10 bits), so
+#: this cap holds it to about 0.2 GB above the interpreter
 MAX_SEARCH_ELEMENTS = 2**21
 
 
@@ -127,6 +131,18 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     return int(direction(y - offset, np.asarray(spec.tau) * step, signed_levels(ranks)))
 
 
+class SearchGeometry(NamedTuple):
+    """The cell edges of a c_delta search, each distinct float once.
+
+    ``points`` holds the distinct values of the (grid points, N/2) edge
+    matrix, its column of 0 included, in ascending order; ``where`` is that
+    matrix as indices into ``points``.  Both arrays are read-only.
+    """
+
+    points: np.ndarray
+    where: np.ndarray
+
+
 def interval_stats(model: NoiseModel, thresholds, shift=0.0):
     """Cell masses and density drops of the positive cells at the error ``shift``.
 
@@ -139,12 +155,22 @@ def interval_stats(model: NoiseModel, thresholds, shift=0.0):
     The noise is symmetric: negative cell i's mass at ``shift`` is positive
     cell i's at ``-shift``.  One ``sf`` and one ``pdf`` call cover every
     row; degenerate rows are returned, not rejected.
+
+    ``thresholds`` may instead be a ``SearchGeometry`` (``shift`` a float):
+    the one ``sf`` and one ``pdf`` call then take each distinct edge once,
+    and every row is gathered from their values.  Each value of ``sf`` and
+    ``pdf`` does not depend on the other points of its array, so the rows
+    have the bits that the full edge matrix gives.
     """
-    thresholds = np.asarray(thresholds, dtype=float)
-    column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0
-    edges = shift + np.concatenate((column, thresholds), axis=-1)  # x + 0.0 == x
-    probs = -np.diff(model.sf(edges), append=0.0)  # sf and pdf are 0 at the edge inf
-    drops = -np.diff(model.pdf(edges), append=0.0)
+    if isinstance(thresholds, SearchGeometry):
+        points, where = thresholds
+    else:
+        thresholds = np.asarray(thresholds, dtype=float)
+        column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0
+        points, where = np.concatenate((column, thresholds), axis=-1), ...  # all of it
+    edges = shift + points  # x + 0.0 == x
+    probs = -np.diff(model.sf(edges)[where], append=0.0)  # sf and pdf are 0 at the edge inf
+    drops = -np.diff(model.pdf(edges)[where], append=0.0)
     return probs, drops
 
 
@@ -190,11 +216,47 @@ def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
     return _design(*interval_stats(model, thresholds), thresholds)
 
 
+#: the geometries of recent searches, oldest first, keyed by (N/2 - 1,
+#: delta, the grid's values); together they hold at most
+#: ``MAX_SEARCH_ELEMENTS`` edges
+_GEOMETRIES: dict = {}
+_GEOMETRIES_LOCK = threading.Lock()
+
+
+def _search_geometry(tau: np.ndarray, values: np.ndarray, delta: float) -> SearchGeometry:
+    """The ``SearchGeometry`` of the edges tau * (values * delta), cached.
+
+    The edges depend on the number of intervals, the grid and the noise
+    scale but not on the noise's shape, so every search of one bit count on
+    one grid and scale shares an entry.  A new entry evicts the oldest ones
+    until the cache holds at most ``MAX_SEARCH_ELEMENTS`` edges.
+    """
+    key = (tau.size, float(delta), values.tobytes())
+    with _GEOMETRIES_LOCK:
+        geometry = _GEOMETRIES.get(key)
+    if geometry is not None:
+        return geometry
+    edges = np.zeros((values.size, tau.size + 1))  # the column of 0 first
+    edges[:, 1:] = tau * (values * delta)[:, None]  # as build_design: tau * (c * delta)
+    points, where = np.unique(edges, return_inverse=True)
+    geometry = SearchGeometry(points, where.reshape(edges.shape))
+    for array in geometry:
+        array.flags.writeable = False
+    with _GEOMETRIES_LOCK:
+        held = sum(entry.where.size for entry in _GEOMETRIES.values())
+        while _GEOMETRIES and held + edges.size > MAX_SEARCH_ELEMENTS:
+            held -= _GEOMETRIES.pop(next(iter(_GEOMETRIES))).where.size
+        _GEOMETRIES[key] = geometry  # optimize_cdelta's size check: it fits
+    return geometry
+
+
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
     """Grid-search the step constant maximizing the quantized information.
 
     Uses unit-spaced normalized thresholds.  The whole grid is evaluated in
-    one ``interval_stats`` call, one row of edges per grid point.  Ties
+    one ``interval_stats`` call, one row of edges per grid point, on the
+    cached ``SearchGeometry`` of the grid: one ``sf`` and one ``pdf`` call
+    take each distinct edge once.  Ties
     (including flat profiles, e.g. Laplace noise where the information is
     threshold-independent) resolve to the smallest grid point.  Grid points
     whose design is degenerate are skipped.
@@ -217,7 +279,7 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
-    probs, drops = interval_stats(model, tau * (values * model.delta)[:, None])
+    probs, drops = interval_stats(model, _search_geometry(tau, values, model.delta))
     valid = ~_degenerate(probs)
     if not valid.any():
         raise DesignError(f"no valid design on c_delta grid {grid}")

@@ -36,6 +36,7 @@ import signal as _signal
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import count
 
 import numpy as np
 
@@ -535,9 +536,8 @@ def write_result_csv(result: ExperimentResult, path) -> None:
     for key in sorted(result.metadata):
         lines.append(f"# {key} = {result.metadata[key]}")
     lines.append("k,mse,theory_mse")
-    for i, (m, t) in enumerate(zip(result.mse_curve.tolist(),
-                                  result.theory_mse_curve.tolist()), 1):
-        lines.append(f"{i},{m:.12g},{t:.12g}")
+    lines += ["%d,%.12g,%.12g" % row for row in zip(
+        count(1), result.mse_curve.tolist(), result.theory_mse_curve.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,7 +1,10 @@
 """Quantizer construction, information, and output-level optimization."""
 
+import contextlib
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,14 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.integrate import quad
 
+from adaptquant import quantizer
 from adaptquant.estimator import signed_levels
 from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
+    DEFAULT_CDELTA_GRID,
     MAX_NBITS,
     MIN_INTERVAL_MASS,
     TABLE_KEYS,
     DesignError,
     QuantizerSpec,
+    SearchGeometry,
     build_design,
     design_uniform,
     fisher_quantized,
@@ -324,6 +330,156 @@ def test_search_value_is_the_design_value():
         c_delta, searched = optimize_cdelta(m, 8)
         assert spec == QuantizerSpec.uniform(8, c_delta)
         assert design.info == searched.info
+
+
+def grid_edges(model, n_intervals, grid):
+    """The search's (grid points, N/2) edge matrix, the column of 0 first."""
+    lo, hi, step = grid
+    values = np.round(np.arange(lo, hi + step / 2, step), 12)
+    tau = np.asarray(QuantizerSpec.uniform(n_intervals, 1.0).tau)
+    return np.concatenate((np.zeros((values.size, 1)),
+                           tau * (values * model.delta)[:, None]), axis=1)
+
+
+def searched_stats(model, n_intervals, grid):
+    """(probs, drops) of every grid row, as the search's one
+    ``interval_stats`` call returns them."""
+    calls = []
+
+    def recording(*args):
+        calls.append((args, interval_stats(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quantizer, "interval_stats", recording)
+        with contextlib.suppress(DesignError):  # every row may be degenerate
+            optimize_cdelta(model, n_intervals, grid)
+    assert len(calls) == 1
+    (_, geometry), stats = calls[0]
+    assert isinstance(geometry, SearchGeometry)
+    return stats
+
+
+#: the default grid, a coarser one and one whose step is no round number
+SEARCH_GRIDS = (DEFAULT_CDELTA_GRID, (0.05, 6.0, 0.05), (0.003, 2.5, 0.0035))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hs.sampled_from(Family), hs.floats(0.5, 10.0),
+       hs.floats(0.1, 10.0).filter(lambda delta: delta != 1.0),
+       hs.sampled_from(SEARCH_GRIDS), hs.integers(1, 8))
+def test_search_rows_are_the_full_matrix_rows(family, beta, delta, grid, nbits):
+    """Each distinct edge evaluated once and gathered back gives every grid
+    row the bits of ``interval_stats`` on the full edge matrix."""
+    model = NoiseModel(family, beta, delta)
+    probs, drops = searched_stats(model, 2**nbits, grid)
+    want_p, want_d = interval_stats(model, grid_edges(model, 2**nbits, grid)[:, 1:])
+    assert np.array_equal(probs, want_p)
+    assert np.array_equal(drops, want_d)
+
+
+def search_bits(model, n_intervals, grid=DEFAULT_CDELTA_GRID):
+    c_delta, design = optimize_cdelta(model, n_intervals, grid)
+    return c_delta, design.probs.tobytes(), design.drops.tobytes(), design.info
+
+
+def test_searches_differing_only_in_delta_or_grid_keep_their_own_bits(monkeypatch):
+    """Searches that share the number of intervals, and the grid or the
+    scale, give in one process the bits each gives with an empty cache."""
+    searches = [(st(2.5), 32, DEFAULT_CDELTA_GRID), (st(2.5, 0.7), 32, DEFAULT_CDELTA_GRID),
+                (st(2.5), 32, (0.02, 10.0, 0.02)), (st(2.5), 32, (0.01, 5.0, 0.01)),
+                (gg(2.0, 0.7), 8, (0.01, 5.0, 0.01)), (gg(2.0, 1.3), 8, (0.01, 5.0, 0.01))]
+    alone = []
+    for search in searches:
+        monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+        alone.append(search_bits(*search))
+    monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+    for _ in range(2):  # filling the cache, then reading it
+        assert [search_bits(*search) for search in searches] == alone
+    assert len(quantizer._GEOMETRIES) == len(searches)
+
+
+@pytest.mark.parametrize("nbits", [1, 3, 5, 8])
+def test_search_evaluates_each_distinct_edge_once(nbits, monkeypatch):
+    model = st(2.0, 0.7)
+    calls = {"sf": [], "pdf": []}
+    for name, points in calls.items():
+        method = getattr(NoiseModel, name)
+        monkeypatch.setattr(NoiseModel, name, lambda self, x, method=method,
+                            points=points: points.append(x) or method(self, x))
+    distinct = np.unique(grid_edges(model, 2**nbits, DEFAULT_CDELTA_GRID))
+    for _ in range(2):  # building the geometry, then reading it from the cache
+        for points in calls.values():
+            points.clear()
+        optimize_cdelta(model, 2**nbits)
+        for points in calls.values():
+            assert len(points) == 1
+            assert np.array_equal(points[0], distinct)
+
+
+def held_edges():
+    return sum(geometry.where.size for geometry in quantizer._GEOMETRIES.values())
+
+
+def test_cached_geometry_is_read_only_and_bounded(monkeypatch):
+    """Entries refuse writes, and a new entry evicts the oldest until the
+    cache holds at most ``MAX_SEARCH_ELEMENTS`` edges."""
+    monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
+    coarse = (0.02, 10.0, 0.02)
+    steps = [((gg(2.0), 2, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000)]),
+             ((gg(2.0), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000), (1, 1.0, 1000)]),
+             ((st(3.0), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000), (1, 1.0, 1000)]),
+             ((gg(2.0), 2, coarse), [(1, 1.0, 1000), (0, 1.0, 500)]),
+             ((gg(2.0, 0.7), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 500), (1, 0.7, 1000)])]
+    for search, entries in steps:
+        optimize_cdelta(*search)
+        assert [(size, delta, len(values) // 8) for size, delta, values
+                in quantizer._GEOMETRIES] == entries
+        assert held_edges() <= quantizer.MAX_SEARCH_ELEMENTS
+    for geometry in quantizer._GEOMETRIES.values():
+        for array in geometry:
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 1
+    with pytest.raises(ValueError, match="at most 750"):  # 1000 x 4 > 3000
+        optimize_cdelta(gg(2.0), 8)
+
+
+def test_concurrent_searches_keep_their_bits_and_the_bound(monkeypatch):
+    """More threads than cores search while the cache evicts: every
+    search gives the bits of a search alone, and the bound holds."""
+    searches = [(NoiseModel(family, 2.0, delta), n_intervals, grid)
+                for family in Family for delta in (1.0, 0.7) for n_intervals in (2, 4)
+                for grid in (DEFAULT_CDELTA_GRID, (0.02, 10.0, 0.02))]
+    want = [search_bits(*search) for search in searches]
+    monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
+    got, errors = [], []
+
+    def worker(order):
+        try:
+            for i in order:
+                got.append((i, search_bits(*searches[i])))
+        except Exception as exc:  # re-raised by the test below
+            errors.append(exc)
+
+    rng = np.random.default_rng(60)
+    threads = [threading.Thread(target=worker, args=(rng.permutation(len(searches)),))
+               for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert len(got) == 4 * len(searches)
+    assert all(bits == want[i] for i, bits in got)
+    assert held_edges() <= quantizer.MAX_SEARCH_ELEMENTS
 
 
 def test_build_design_consistency():

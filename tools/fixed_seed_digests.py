@@ -15,7 +15,12 @@ The runs go through ``adaptquant.cli.main`` in a fresh temporary directory:
 * ``figures --replications 16 --horizon 64``;
 * ``loss-table`` with its defaults;
 * ``design`` for GG beta = 2 and ST beta = 2.5 at 1, 3 and 5 bits, whose
-  standard output is digested too, as ``design/<table name>.stdout``.
+  standard output is digested too, as ``design/<table name>.stdout``;
+* more ``design`` runs, each into a directory of its own, that meet the
+  c_delta search's geometry cache in the state the runs before them left:
+  GG beta = 2 and ST beta = 2.5 at 5 bits with delta = 1 (an entry the
+  runs above and ``loss-table`` filled), then with delta = 0.7; ST beta =
+  2.5 at 5 bits on a grid of its own; GG beta = 2 at 8 bits.
 
 One ``sha256  name`` line is printed per output, sorted by name, with the
 ``wall_time_s`` line of each ``.summary`` file left out of its digest; every
@@ -24,14 +29,14 @@ digits, which can hide a last-ulp change in the recursion, so one more line
 per Monte Carlo run, in run order, digests the raw bytes of its
 ``mse_curve``, read through a wrapper of ``cli.run_experiment``:
 ``mse_curve/<run index>_<signal>_<noise>_<nbits or continuous>``.  That is
-53 output lines and 81 run lines (4 configs, 2 lookup, 3 continuous and 72
+71 output lines and 81 run lines (4 configs, 2 lookup, 3 continuous and 72
 ``figures`` runs).  Two versions of the package that print the same lines
 write the same bytes and compute the same curves.  PYTHONPATH chooses the
 package under test, and the configs are those next to this script:
 
     PYTHONPATH=src python tools/fixed_seed_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/fixed_seed_digests.py > parent.txt
-    diff parent.txt change.txt  # no output: all 134 lines agree
+    diff parent.txt change.txt  # no output: all 152 lines agree
 """
 
 from __future__ import annotations
@@ -50,9 +55,18 @@ from adaptquant.quantizer import MAX_NBITS
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: (noise, beta, nbits) of the ``design`` runs
-DESIGNS = [(noise, beta, nbits) for noise, beta in (("gg", "2"), ("st", "2.5"))
-           for nbits in (1, 3, 5)]
+#: the noises of the ``design`` runs
+DESIGN_NOISES = (("gg", "2"), ("st", "2.5"))
+
+#: (out directory, noise, beta, nbits, further arguments) of the ``design``
+#: runs, in run order
+DESIGNS = ([("design", noise, beta, nbits, []) for noise, beta in DESIGN_NOISES
+            for nbits in (1, 3, 5)]
+           + [(f"design_delta{delta}", noise, beta, 5, ["--delta", delta])
+              for delta in ("1", "0.7") for noise, beta in DESIGN_NOISES]
+           + [("design_grid", "st", "2.5", 5,
+               ["--grid-min", "0.05", "--grid-max", "6", "--grid-step", "0.05"]),
+              ("design_nb8", "gg", "2", 8, [])])
 
 #: the small ``simulate`` config run at each bit count of ``LOOKUP_NBITS``
 LOOKUP_CONFIG = """\
@@ -119,11 +133,11 @@ def write_outputs() -> None:
         run(["simulate", "--config", config.as_posix(), "--out", "out/simulate"])
     run(["figures", "--replications", "16", "--horizon", "64", "--out", "out/figures"])
     run(["loss-table", "--out", "out/loss-table"])
-    for noise, beta, nbits in DESIGNS:
+    for out, noise, beta, nbits, extra in DESIGNS:
         text = run(["design", "--noise", noise, "--beta", beta, "--nbits", str(nbits),
-                    "--out", "out/design"])
+                    *extra, "--out", f"out/{out}"])
         name = f"design_{noise}{float(beta):g}_nb{nbits}.stdout"
-        Path("out/design", name).write_text(text)
+        Path("out", out, name).write_text(text)
 
 
 def digest(path: Path) -> str:
