@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -37,9 +38,11 @@ MAX_NBITS = 10
 
 #: the most grid points x N/2 (the edges and 0) that the c_delta search
 #: takes, and the most that its geometry cache holds in all: a search's
-#: peak RSS grows by 53-84 bytes each, the cached geometry's index (8 bytes
-#: each) and distinct edges included (measured at 2**21, 2 to 10 bits), so
-#: this cap holds it to about 0.2 GB above the interpreter
+#: peak RSS grows by 53-78 bytes each (measured at 2**21, 2 to 10 bits), so
+#: this cap holds it to about 0.2 GB above the interpreter.  The cache keeps
+#: what it holds for the life of the process: 4 bytes per edge (the index),
+#: 8 per distinct edge and 8 per grid point (the key), at most 16 per edge
+#: from 2 bits on; 15-24 MiB after one search at the cap (measured)
 MAX_SEARCH_ELEMENTS = 2**21
 
 
@@ -136,7 +139,7 @@ class SearchGeometry(NamedTuple):
 
     ``points`` holds the distinct values of the (grid points, N/2) edge
     matrix, its column of 0 included, in ascending order; ``where`` is that
-    matrix as indices into ``points``.  Both arrays are read-only.
+    matrix as int32 indices into ``points``.  Both arrays are read-only.
     """
 
     points: np.ndarray
@@ -164,13 +167,16 @@ def interval_stats(model: NoiseModel, thresholds, shift=0.0):
     """
     if isinstance(thresholds, SearchGeometry):
         points, where = thresholds
+        # one value per distinct edge: gather the rows (take, since [] would
+        # first cast the int32 index to intp)
+        gather = partial(np.take, indices=where)
     else:
         thresholds = np.asarray(thresholds, dtype=float)
         column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0
-        points, where = np.concatenate((column, thresholds), axis=-1), ...  # all of it
+        points, gather = np.concatenate((column, thresholds), axis=-1), np.asarray
     edges = shift + points  # x + 0.0 == x
-    probs = -np.diff(model.sf(edges)[where], append=0.0)  # sf and pdf are 0 at the edge inf
-    drops = -np.diff(model.pdf(edges)[where], append=0.0)
+    probs = -np.diff(gather(model.sf(edges)), append=0.0)  # sf and pdf are 0 at the edge inf
+    drops = -np.diff(gather(model.pdf(edges)), append=0.0)
     return probs, drops
 
 
@@ -239,10 +245,12 @@ def _search_geometry(tau: np.ndarray, values: np.ndarray, delta: float) -> Searc
     edges = np.zeros((values.size, tau.size + 1))  # the column of 0 first
     edges[:, 1:] = tau * (values * delta)[:, None]  # as build_design: tau * (c * delta)
     points, where = np.unique(edges, return_inverse=True)
-    geometry = SearchGeometry(points, where.reshape(edges.shape))
+    geometry = SearchGeometry(points, where.astype(np.int32).reshape(edges.shape))
     for array in geometry:
         array.flags.writeable = False
     with _GEOMETRIES_LOCK:
+        if key in _GEOMETRIES:  # another thread built it meanwhile
+            return _GEOMETRIES[key]
         held = sum(entry.where.size for entry in _GEOMETRIES.values())
         while _GEOMETRIES and held + edges.size > MAX_SEARCH_ELEMENTS:
             held -= _GEOMETRIES.pop(next(iter(_GEOMETRIES))).where.size

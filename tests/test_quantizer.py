@@ -422,8 +422,9 @@ def held_edges():
 
 
 def test_cached_geometry_is_read_only_and_bounded(monkeypatch):
-    """Entries refuse writes, and a new entry evicts the oldest until the
-    cache holds at most ``MAX_SEARCH_ELEMENTS`` edges."""
+    """Entries hold an int32 index and refuse writes, and a new entry
+    evicts the oldest until the cache holds at most ``MAX_SEARCH_ELEMENTS``
+    edges."""
     monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
     monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
     coarse = (0.02, 10.0, 0.02)
@@ -438,11 +439,32 @@ def test_cached_geometry_is_read_only_and_bounded(monkeypatch):
                 in quantizer._GEOMETRIES] == entries
         assert held_edges() <= quantizer.MAX_SEARCH_ELEMENTS
     for geometry in quantizer._GEOMETRIES.values():
+        assert geometry.where.dtype == np.int32
         for array in geometry:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
     with pytest.raises(ValueError, match="at most 750"):  # 1000 x 4 > 3000
         optimize_cdelta(gg(2.0), 8)
+
+
+def test_a_geometry_cached_meanwhile_is_returned_and_evicts_nothing(monkeypatch):
+    """When another thread caches the same geometry while this one builds
+    it, the cached entry is returned and no other entry is evicted."""
+    monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
+    optimize_cdelta(gg(2.0), 2)  # 1000 edges held
+    tau, values = np.array([1.0]), np.round(np.arange(0.01, 10.005, 0.01), 12)
+    unique, other = np.unique, []
+
+    def racing_unique(*args, **kwargs):  # the other thread's build, meanwhile
+        monkeypatch.setattr(np, "unique", unique)
+        other.append(quantizer._search_geometry(tau, values, 1.0))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", racing_unique)
+    assert quantizer._search_geometry(tau, values, 1.0) is other[0]
+    assert held_edges() == 3000  # both entries fit: 1000 + 2000 edges
+    assert len(quantizer._GEOMETRIES) == 2
 
 
 def test_concurrent_searches_keep_their_bits_and_the_bound(monkeypatch):
