@@ -119,6 +119,11 @@ class QuantizerDesign:
         object.__setattr__(self, "signed", signed_levels(self.levels))
 
 
+def _cell_edges(tau, c_delta, delta):
+    """The cell edges tau * (c_delta * delta), here alone: one float each."""
+    return np.asarray(tau) * (c_delta * delta)
+
+
 def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     """Quantize one observation to a signed symbol in {-N/2..-1, +1..+N/2}.
 
@@ -131,7 +136,7 @@ def quantize(y: float, offset: float, spec: QuantizerSpec, step: float) -> int:
     if not (math.isfinite(y) and math.isfinite(offset)):
         raise ValueError(f"observation and offset must be finite, got {y}, {offset}")
     ranks = np.arange(1, spec.n_intervals // 2 + 1)
-    return int(direction(y - offset, np.asarray(spec.tau) * step, signed_levels(ranks)))
+    return int(direction(y - offset, _cell_edges(spec.tau, step, 1.0), signed_levels(ranks)))
 
 
 class SearchGeometry(NamedTuple):
@@ -159,13 +164,15 @@ def interval_stats(model: NoiseModel, thresholds, shift=0.0):
     cell i's at ``-shift``.  One ``sf`` and one ``pdf`` call cover every
     row; degenerate rows are returned, not rejected.
 
-    ``thresholds`` may instead be a ``SearchGeometry`` (``shift`` a float):
-    the one ``sf`` and one ``pdf`` call then take each distinct edge once,
-    and every row is gathered from their values.  Each value of ``sf`` and
-    ``pdf`` does not depend on the other points of its array, so the rows
-    have the bits that the full edge matrix gives.
+    ``thresholds`` may instead be a ``SearchGeometry``, with a float
+    ``shift`` only: the one ``sf`` and one ``pdf`` call then take each
+    distinct edge once, and every row is gathered from their values.  Each
+    value of ``sf`` and ``pdf`` does not depend on the other points of its
+    array, so the rows have the bits that the full edge matrix gives.
     """
     if isinstance(thresholds, SearchGeometry):
+        if np.ndim(shift):  # it would shift the flat points, not the rows
+            raise ValueError(f"a SearchGeometry takes a float shift, not {np.shape(shift)}")
         points, where = thresholds
         # one value per distinct edge: gather the rows (take, since [] would
         # first cast the int32 index to intp)
@@ -218,7 +225,7 @@ def _design(probs, drops, thresholds) -> QuantizerDesign:
 
 
 def build_design(model: NoiseModel, spec: QuantizerSpec) -> QuantizerDesign:
-    thresholds = np.asarray(spec.tau) * (spec.c_delta * model.delta)
+    thresholds = _cell_edges(spec.tau, spec.c_delta, model.delta)
     return _design(*interval_stats(model, thresholds), thresholds)
 
 
@@ -243,7 +250,7 @@ def _search_geometry(tau: np.ndarray, values: np.ndarray, delta: float) -> Searc
     if geometry is not None:
         return geometry
     edges = np.zeros((values.size, tau.size + 1))  # the column of 0 first
-    edges[:, 1:] = tau * (values * delta)[:, None]  # as build_design: tau * (c * delta)
+    edges[:, 1:] = _cell_edges(tau, values[:, None], delta)
     points, where = np.unique(edges, return_inverse=True)
     geometry = SearchGeometry(points, where.astype(np.int32).reshape(edges.shape))
     for array in geometry:
@@ -301,7 +308,7 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     c_delta = float(values[row])
     # copies, so the design does not hold the whole grid matrix alive
     return c_delta, _design(probs[row].copy(), drops[row].copy(),
-                            tau * (c_delta * model.delta))  # as build_design forms it
+                            _cell_edges(tau, c_delta, model.delta))
 
 
 def design_uniform(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
@@ -366,7 +373,8 @@ def load_design(path):
 
     The levels ``eta`` and the information ``iq`` must match, within
     ``LOAD_RTOL``, the design recomputed from the table's noise and
-    geometry; the table's values are the ones returned.
+    geometry; the table's values are the ones returned.  An error names
+    the file first and keeps its type (``DesignError`` if degenerate).
     """
     kv = {}
     with open(path) as fh:
@@ -384,25 +392,28 @@ def load_design(path):
         try:
             return convert(kv[key])
         except ValueError as exc:
-            raise ValueError(f"{path}: {key} = {kv[key]!r}: {exc}") from exc
+            raise ValueError(f"{key} = {kv[key]!r}: {exc}") from exc
 
-    model = NoiseModel(parse("family", Family), parse("beta", float),
-                       parse("delta", float))
-    tau = parse("tau", lambda text: tuple(float(v) for v in text.split(",") if v))
-    spec = QuantizerSpec(tau, parse("c_delta", float))
-    if parse("n_intervals", int) != spec.n_intervals:
-        raise ValueError(f"n_intervals = {kv['n_intervals']} does not match the "
-                         f"{len(spec.tau)} thresholds of tau")
-    design = build_design(model, spec)
-    levels = np.array(parse("eta", lambda text: [float(v) for v in text.split(",")]))
-    if levels.shape != design.levels.shape or not np.all(np.isfinite(levels)):
-        raise ValueError(f"eta must hold {spec.n_intervals // 2} finite levels, "
-                         f"got {kv['eta']!r}")
-    if np.any(np.abs(levels - design.levels) > LOAD_RTOL * np.abs(design.levels)):
-        raise ValueError(f"eta {kv['eta']!r} does not match the levels "
-                         f"{design.levels.tolist()} of the table's geometry")
-    info = parse("iq", float)
-    if not abs(info - design.info) <= LOAD_RTOL * design.info:
-        raise ValueError(f"iq {kv['iq']!r} does not match the information "
-                         f"{design.info!r} of the table's geometry")
+    try:
+        model = NoiseModel(parse("family", Family), parse("beta", float),
+                           parse("delta", float))
+        tau = parse("tau", lambda text: tuple(float(v) for v in text.split(",") if v))
+        spec = QuantizerSpec(tau, parse("c_delta", float))
+        if parse("n_intervals", int) != spec.n_intervals:
+            raise ValueError(f"n_intervals = {kv['n_intervals']} does not match the "
+                             f"{len(spec.tau)} thresholds of tau")
+        design = build_design(model, spec)
+        levels = np.array(parse("eta", lambda text: [float(v) for v in text.split(",")]))
+        if levels.shape != design.levels.shape or not np.all(np.isfinite(levels)):
+            raise ValueError(f"eta must hold {spec.n_intervals // 2} finite levels, "
+                             f"got {kv['eta']!r}")
+        if np.any(np.abs(levels - design.levels) > LOAD_RTOL * np.abs(design.levels)):
+            raise ValueError(f"eta {kv['eta']!r} does not match the levels "
+                             f"{design.levels.tolist()} of the table's geometry")
+        info = parse("iq", float)
+        if not abs(info - design.info) <= LOAD_RTOL * design.info:
+            raise ValueError(f"iq {kv['iq']!r} does not match the information "
+                             f"{design.info!r} of the table's geometry")
+    except ValueError as exc:  # DesignError stays a DesignError
+        raise type(exc)(f"{path}: {exc}") from exc
     return model, spec, replace(design, levels=levels, info=info)

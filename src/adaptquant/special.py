@@ -1,9 +1,14 @@
 """Incomplete gamma and incomplete beta functions.
 
-Self-contained implementations using the classic split: a power series for
-small arguments and a modified Lentz continued fraction for large ones,
-with the switch at x = a + 1 for the gamma function and at
-x = (a + 1) / (a + b + 2) for the beta function.
+Self-contained implementations using the classic split at a switch point:
+x = a + 1 for the gamma function, x = (a + 1) / (a + b + 2) for the beta
+function.  All three functions take one path: ``_by_region`` checks the
+domain, sets the two endpoints and hands the other points to the
+function's ``inner(v, k)`` as one 1-D array ``v``, the ``k`` under the
+switch first.  The gamma inner runs a power series on ``v[:k]`` and a
+modified Lentz continued fraction on ``v[k:]``; the beta inner runs one
+continued fraction on both, a point above the switch as the point 1 - x of
+I_{1-x}(b, a), by I_x(a, b) = 1 - I_{1-x}(b, a).
 
 The argument ``x`` may be a float or a numpy array; the shapes ``a`` and
 ``b`` are floats.  Both run on numpy: a float is a one-element array, and
@@ -17,12 +22,9 @@ still running.  So each point runs the operations it would run alone, in
 the same order; its value does not depend on the others in its array, and
 a float call and an array call agree bit for bit.
 
-The beta function runs one continued fraction for both sides of its
-switch: a point above it is the point 1 - x of I_{1-x}(b, a), by
-I_x(a, b) = 1 - I_{1-x}(b, a).  The gamma continued fraction gives
-Q(a, x) = e^(-x) x^a / Gamma(a) times a fraction that is positive and
-finite, so where that prefactor underflows to 0 the value is +0.0 and its
-fraction is not run.
+The gamma continued fraction gives Q(a, x) = e^(-x) x^a / Gamma(a) times a
+fraction that is positive and finite, so where that prefactor underflows
+to 0 the value is +0.0 and its fraction is not run.
 
 Conventions:
 
@@ -51,8 +53,7 @@ def regularized_gamma_p(a: float, x):
     if a <= 0.0:
         raise ValueError(f"shape a must be positive, got {a}")
     return _by_region(x, math.inf, (0.0, 1.0), a + 1.0,
-                      _sides(lambda v: _gamma_p_series(a, v),
-                             lambda v: 1.0 - _gamma_q_contfrac(a, v)))
+                      lambda v, k: _gamma_inner(v, k, a, True))
 
 
 def regularized_gamma_q(a: float, x):
@@ -64,8 +65,7 @@ def regularized_gamma_q(a: float, x):
     if a <= 0.0:
         raise ValueError(f"shape a must be positive, got {a}")
     return _by_region(x, math.inf, (1.0, 0.0), a + 1.0,
-                      _sides(lambda v: 1.0 - _gamma_p_series(a, v),
-                             lambda v: _gamma_q_contfrac(a, v)))
+                      lambda v, k: _gamma_inner(v, k, a, False))
 
 
 def incomplete_gamma_lower(a: float, x):
@@ -86,9 +86,9 @@ def _by_region(x, upper, at_ends, switch, inner):
 
     The endpoints 0 and ``upper`` take the values ``at_ends``.  The other
     points go to ``inner(v, k)`` as one 1-D array ``v``: the ``k`` under
-    the switch point first, then those from it on (NaN included).  A float
-    (any 0-d input) is evaluated as a one-element array and returned as a
-    float.
+    the switch point first, then those from it on (NaN included); it
+    returns the values at ``v`` in that order.  A float (any 0-d input) is
+    evaluated as a one-element array and returned as a float.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -105,18 +105,6 @@ def _by_region(x, upper, at_ends, switch, inner):
     if at.size:
         out[at] = inner(flat[at], below.size)
     return out.reshape(x.shape) if x.ndim else float(out[0])
-
-
-def _sides(below, above):
-    """The ``inner`` of ``_by_region`` running ``below`` and ``above`` on
-    the two sides of the switch, each only if it holds a point."""
-    def inner(v, k):
-        if k == v.size:
-            return below(v)
-        if not k:
-            return above(v)
-        return np.concatenate((below(v[:k]), above(v[k:])))
-    return inner
 
 
 # The kernels below take a nonempty 1-D array and run one recurrence on all
@@ -183,12 +171,23 @@ def _converged(delta):
 # through ``*=`` and the like, which cost twice as much on a few elements.
 
 
-def _gamma_prefactor(a, x):
-    return np.exp(-x + a * np.log(x) - math.lgamma(a))
+def _gamma_inner(v, k, a, lower):
+    """P(a, v) if ``lower``, else Q(a, v): the series at the ``k`` points
+    under the switch and the continued fraction at the others, each times
+    the prefactor e^(-v) v^a / Gamma(a), then 1 - the other function."""
+    prefactor = np.exp(-v + a * np.log(v) - math.lgamma(a))
+    out = np.zeros(v.size)
+    if k:
+        out[:k] = _gamma_p_series(a, v[:k]) * prefactor[:k]
+    run = k + np.flatnonzero(prefactor[k:])  # elsewhere Q = 0 * fraction = +0.0
+    if run.size:
+        out[run] = _gamma_q_fraction(a, v[run]) * prefactor[run]
+    other = out[k:] if lower else out[:k]
+    np.subtract(1.0, other, out=other)
+    return out
 
 
 def _gamma_p_series(a, x):
-    prefactor = _gamma_prefactor(a, x)
     active = _Active(x.size)
     ap = a
     term = np.full(x.size, 1.0 / a)
@@ -204,19 +203,7 @@ def _gamma_p_series(a, x):
             x, term, total = active.retire(done, count, total, term, (x, term, total))
             if not active.running:
                 break
-    return active.finish(total, term) * prefactor
-
-
-def _gamma_q_contfrac(a, x):
-    prefactor = _gamma_prefactor(a, x)
-    run = prefactor != 0.0
-    if np.count_nonzero(run) == x.size:
-        return _gamma_q_fraction(a, x) * prefactor
-    # the fraction is positive and finite, so these values are 0 * h = +0.0
-    out = np.zeros(x.size)
-    if np.count_nonzero(run):
-        out[run] = _gamma_q_fraction(a, x[run]) * prefactor[run]
-    return out
+    return active.finish(total, term)
 
 
 def _gamma_q_fraction(a, x):

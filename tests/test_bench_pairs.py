@@ -1,8 +1,12 @@
 """The summary ``tools/bench_pairs.py`` writes into every ``BENCH_*.json``:
 medians, the parent's quartiles, wins and whether a gain exceeds the
-parent's interquartile range, pinned on synthetic runs."""
+parent's interquartile range, pinned on synthetic runs; and the one
+bytecode state both trees run in."""
 
 import importlib.util
+import py_compile
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +77,38 @@ def test_gain_exceeds_parent_iqr_on_either_side(bench_pairs, shift, lower_gain,
     assert summary["rate"]["gain_exceeds_parent_iqr"] is higher_gain
     assert summary["ns"]["wins"] == (5 if shift < 0 else 0)
     assert summary["rate"]["wins"] == (5 if shift > 0 else 0)
+
+
+def test_both_trees_import_their_modules_from_bytecode(bench_pairs, tmp_path,
+                                                      monkeypatch):
+    """A tree that holds ``__pycache__`` from earlier use and a fresh copy
+    import their modules alike, from bytecode, under the environment that
+    every run and probe gets."""
+    trees = [tmp_path / "used", tmp_path / "fresh"]
+    for tree in trees:
+        (tree / "src").mkdir(parents=True)
+        (tree / "bench").mkdir()
+        (tree / "src" / "m.py").write_text("X = 1\n")
+        (tree / "bench" / "w.py").write_text("Y = 2\n")
+    py_compile.compile(str(trees[0] / "src" / "m.py"))
+    assert bench_pairs.ENV["PYTHONDONTWRITEBYTECODE"] == "1"
+    for tree in trees:
+        bench_pairs.compile_tree(tree)
+        proc = subprocess.run(
+            [sys.executable, "-v", "-c", "import m, w"], cwd=tree,
+            env=dict(bench_pairs.ENV, PYTHONPATH="src:bench"),
+            capture_output=True, text=True, check=True)
+        for folder, module in (("src", "m"), ("bench", "w")):
+            assert re.search(rf"{folder}/__pycache__/{module}\.cpython-\d+\.pyc matches ",
+                             proc.stderr)
+    # every run and probe gets that environment
+    envs = []
+
+    def fake_run(args, **kwargs):
+        envs.append(kwargs["env"])
+        return subprocess.CompletedProcess(args, 0, 'facts: {}\n{"self_mb": 1.0}\n', "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.bench_run(trees[0], "w", 1, 1.0)
+    bench_pairs.probe(trees[1], "w")
+    assert envs == [bench_pairs.ENV, bench_pairs.ENV]

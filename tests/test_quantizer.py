@@ -417,6 +417,22 @@ def test_search_evaluates_each_distinct_edge_once(nbits, monkeypatch):
             assert np.array_equal(points[0], distinct)
 
 
+def test_a_geometry_takes_a_float_shift_only(monkeypatch):
+    """A geometry's points are flat, so a column of errors would shift them
+    point by point, not row by row: it is refused.  A float shift gives the
+    rows of the full edge matrix at that shift."""
+    monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
+    model = gg(2.0)
+    tau, values = np.array([1.0, 2.0, 3.0]), np.array([0.25, 0.5, 0.75, 1.0])
+    geometry = quantizer._search_geometry(tau, values, model.delta)
+    with pytest.raises(ValueError, match="float shift"):
+        interval_stats(model, geometry, np.array([[0.0], [0.3]]))
+    got = interval_stats(model, geometry, 0.3)
+    want = interval_stats(model, tau * values[:, None], 0.3)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 def held_edges():
     return sum(geometry.where.size for geometry in quantizer._GEOMETRIES.values())
 
@@ -626,6 +642,27 @@ def test_load_design_names_the_file_and_key_of_a_bad_value(tmp_path, key, value)
     with pytest.raises(ValueError) as info:
         load_design(edited)
     assert str(info.value).startswith(f"{edited}: {key} = {value!r}: ")
+
+
+@pytest.mark.parametrize("key, value, error, match", [
+    ("beta", lambda d: "-1.0", ValueError, "beta must be positive and finite"),
+    ("n_intervals", lambda d: "16", ValueError, "does not match the 3 thresholds"),
+    ("eta", lambda d: "1.0,2.0", ValueError, "eta must hold 4 finite levels"),
+    ("eta", lambda d: ",".join(repr(2.0 * v) for v in d.levels.tolist()),
+     ValueError, "does not match the levels"),
+    ("iq", lambda d: repr(2.0 * d.info), ValueError, "does not match the information"),
+    ("c_delta", lambda d: "1000.0", DesignError, "vanishing probability mass"),
+])
+def test_load_design_names_the_file_of_every_error(tmp_path, key, value, error, match):
+    m = gg(2.0)
+    spec, design = design_uniform(m, 8)
+    path = tmp_path / "design.txt"
+    save_design(path, m, spec, design)
+    edited = edited_table(path, **{key: value(design)})
+    with pytest.raises(error, match=match) as info:
+        load_design(edited)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"{edited}: ")
 
 
 def test_load_design_rejects_a_geometry_it_cannot_build(tmp_path):

@@ -13,6 +13,13 @@ trees back to back, the parent first at odd i and the change first at even
 i, so a drift in the machine's speed falls on both sides alike.  The
 workloads are taken in turn within each pair.
 
+Both trees run in one bytecode state.  Before pair 1 each tree's ``src/``
+and ``bench/`` are compiled afresh in place (``compileall -f``), and every
+run and probe has ``PYTHONDONTWRITEBYTECODE=1``: each tree imports its own
+modules from bytecode, whatever ``__pycache__`` it held before, so
+``setup_s`` (a fresh-interpreter import) does not time a compile on one
+side only.
+
 The record holds the machine facts of the first run, every run's metrics
 and outcome, and per workload and end-to-end metric the medians of both
 sides, the parent's quartiles and interquartile range, and the number of
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -52,12 +60,24 @@ print(json.dumps({k: resource.getrusage(v).ru_maxrss / 1024.0 for k, v in mb.ite
 """
 
 
+#: the environment of every run and probe: nothing writes bytecode, so each
+#: tree imports what ``compile_tree`` left in its ``__pycache__``
+ENV = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+
+def compile_tree(tree: Path) -> None:
+    """Write fresh bytecode for every module under ``tree``'s ``src/`` and
+    ``bench/``, over whatever ``__pycache__`` it held."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "-f", "src", "bench"],
+                   cwd=tree, env=ENV, check=True, stdout=subprocess.DEVNULL)
+
+
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``bench/run.py`` run in ``tree``: its result object and facts."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+        cwd=tree, env=ENV, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"error: bench/run.py in {tree} exited {proc.returncode}:\n"
@@ -69,7 +89,7 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def probe(tree: Path, workload: str) -> dict:
     proc = subprocess.run([sys.executable, "-c", PROBE, str(tree), workload],
-                          cwd=tree, capture_output=True, text=True, check=True)
+                          cwd=tree, env=ENV, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -115,6 +135,8 @@ def main(argv=None) -> int:
     metrics = spec["end_to_end"]
     runs = {name: {"before": [], "after": []} for name in names}
     machine = None
+    for tree in trees.values():
+        compile_tree(tree)
     for pair in range(1, PAIRS + 1):
         order = ["parent", "change"] if pair % 2 else ["change", "parent"]
         for name in names:
@@ -141,7 +163,11 @@ def main(argv=None) -> int:
                 "change tree run back to back, the parent first at odd i and second "
                 "at even ones. 'wins' counts the pairs in which the change is "
                 "better; 'probe' is one pass per tree in a fresh interpreter, with "
-                "the peak RSS of the process and of its waited-for children."),
+                "the peak RSS of the process and of its waited-for children. "
+                "Bytecode: before pair 1 each tree's src/ and bench/ were compiled "
+                "in place with compileall -f, and every run and probe had "
+                "PYTHONDONTWRITEBYTECODE=1, so both trees imported their own "
+                "modules from fresh bytecode."),
         "note": args.note,
         "machine": machine,
         "workloads": {},
