@@ -200,6 +200,11 @@ def optimal_levels(probs: np.ndarray, drops: np.ndarray) -> np.ndarray:
     return np.asarray(drops, dtype=float) / probs
 
 
+def _information(probs, drops):
+    """2 * sum(drops^2 / probs) along the last axis, unchecked: one value per row."""
+    return 2.0 * np.sum(drops ** 2 / probs, axis=-1)
+
+
 def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
     """Fisher information of one quantized observation, 2 * sum(drops^2 / probs).
 
@@ -208,7 +213,7 @@ def fisher_quantized(probs: np.ndarray, drops: np.ndarray):
     probs = np.asarray(probs, dtype=float)
     if np.any(_degenerate(probs)):
         raise DesignError(f"interval with vanishing probability mass: {probs}")
-    info = 2.0 * np.sum(np.asarray(drops, dtype=float) ** 2 / probs, axis=-1)
+    info = _information(probs, np.asarray(drops, dtype=float))
     return float(info) if info.ndim == 0 else info
 
 
@@ -268,13 +273,16 @@ def _search_geometry(tau: np.ndarray, values: np.ndarray, delta: float) -> Searc
 def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRID):
     """Grid-search the step constant maximizing the quantized information.
 
-    Uses unit-spaced normalized thresholds.  The whole grid is evaluated in
-    one ``interval_stats`` call, one row of edges per grid point, on the
-    cached ``SearchGeometry`` of the grid: one ``sf`` and one ``pdf`` call
-    take each distinct edge once.  Ties
-    (including flat profiles, e.g. Laplace noise where the information is
-    threshold-independent) resolve to the smallest grid point.  Grid points
-    whose design is degenerate are skipped.
+    Uses unit-spaced normalized thresholds.  From 2 bits on, the whole grid
+    is evaluated in one ``interval_stats`` call, one row of edges per grid
+    point, on the cached ``SearchGeometry`` of the grid: one ``sf`` and one
+    ``pdf`` call take each distinct edge once.  The information of every
+    row is then computed once, in one pass, and grid points whose design is
+    degenerate are skipped.  Ties (including flat profiles, e.g. Laplace
+    noise where the information is threshold-independent) resolve to the
+    smallest valid grid point.  At 1 bit every grid point has the one edge
+    0, so the profile is flat: the search evaluates the first grid point
+    alone, which is the c_delta a search of every row returns.
 
     Returns ``(c_delta, design)``: the design is built from the winning
     row's own cell masses and drops, so it equals, bit for bit,
@@ -294,17 +302,24 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
     values = np.round(np.arange(lo, hi + step / 2, step), 12)
     if values.size == 0:
         raise ValueError(f"empty c_delta grid {grid}")
+    if n_intervals == 2:
+        # no finite threshold: every grid point has the cells (-inf, 0) and
+        # (0, inf), so the profile is flat and its first point wins
+        c_delta = float(values[0])
+        thresholds = _cell_edges(tau, c_delta, model.delta)
+        return c_delta, _design(*interval_stats(model, thresholds), thresholds)
     probs, drops = interval_stats(model, _search_geometry(tau, values, model.delta))
     valid = ~_degenerate(probs)
     if not valid.any():
         raise DesignError(f"no valid design on c_delta grid {grid}")
-    info = fisher_quantized(probs[valid], drops[valid])
-    best = int(np.argmax(info))  # the first maximum
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # degenerate rows
+        info = _information(probs, drops)
+    info[~valid] = -np.inf
+    row = int(np.argmax(info))  # the first maximum, a valid row
     # flat profile (threshold-independent information, e.g. Laplace noise):
     # resolve to the smallest valid grid point
-    if info[best] - info.min() <= 1e-12 * max(1.0, info[best]):
-        best = 0
-    row = np.flatnonzero(valid)[best]
+    if info[row] - np.min(info, where=valid, initial=np.inf) <= 1e-12 * max(1.0, info[row]):
+        row = int(np.argmax(valid))
     c_delta = float(values[row])
     # copies, so the design does not hold the whole grid matrix alive
     return c_delta, _design(probs[row].copy(), drops[row].copy(),

@@ -18,6 +18,7 @@ from adaptquant.noise import STANDARD_SHAPES, Family, NoiseModel, gg, st
 from adaptquant.quantizer import (
     DEFAULT_CDELTA_GRID,
     MAX_NBITS,
+    MAX_SEARCH_ELEMENTS,
     MIN_INTERVAL_MASS,
     TABLE_KEYS,
     DesignError,
@@ -303,16 +304,18 @@ def test_batched_search_degenerate_upper_end():
         optimize_cdelta(gg(2.0), 8, (10.0, 30.0, 0.5))
 
 
-def assert_search_design_is_built_design(model, n_intervals):
+def assert_search_design_is_built_design(model, n_intervals, grid=DEFAULT_CDELTA_GRID):
     """The search's design is, bit for bit, the design built from the spec
-    it names (the one ``simulate`` builds), and its arrays own their data."""
-    c_delta, design = optimize_cdelta(model, n_intervals)
+    it names (the one ``simulate`` builds), and its arrays own their data.
+    Returns the searched c_delta."""
+    c_delta, design = optimize_cdelta(model, n_intervals, grid)
     built = build_design(model, QuantizerSpec.uniform(n_intervals, c_delta))
     for name in ("probs", "drops", "levels", "thresholds"):
         array = getattr(design, name)
         assert np.array_equal(array, getattr(built, name)), name
         assert array.base is None and array.flags.owndata, name
     assert design.info == built.info
+    return c_delta
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,15 +370,94 @@ SEARCH_GRIDS = (DEFAULT_CDELTA_GRID, (0.05, 6.0, 0.05), (0.003, 2.5, 0.0035))
 @settings(max_examples=40, deadline=None)
 @given(hs.sampled_from(Family), hs.floats(0.5, 10.0),
        hs.floats(0.1, 10.0).filter(lambda delta: delta != 1.0),
-       hs.sampled_from(SEARCH_GRIDS), hs.integers(1, 8))
+       hs.sampled_from(SEARCH_GRIDS), hs.integers(2, 8))
 def test_search_rows_are_the_full_matrix_rows(family, beta, delta, grid, nbits):
     """Each distinct edge evaluated once and gathered back gives every grid
-    row the bits of ``interval_stats`` on the full edge matrix."""
+    row the bits of ``interval_stats`` on the full edge matrix.  (A 1-bit
+    search has no rows: it evaluates the grid's first point alone.)"""
     model = NoiseModel(family, beta, delta)
     probs, drops = searched_stats(model, 2**nbits, grid)
     want_p, want_d = interval_stats(model, grid_edges(model, 2**nbits, grid)[:, 1:])
     assert np.array_equal(probs, want_p)
     assert np.array_equal(drops, want_d)
+
+
+#: the grids of the 1-bit search tests: the search grids and one point
+ONE_BIT_GRIDS = SEARCH_GRIDS + ((0.7, 0.7, 0.1),)
+
+
+@pytest.mark.parametrize("family,beta", [(Family.GG, 2.0), (Family.ST, 2.5)])
+@pytest.mark.parametrize("delta", [0.5, 2.0])
+@pytest.mark.parametrize("grid", ONE_BIT_GRIDS)
+def test_one_bit_search_takes_the_first_grid_point(family, beta, delta, grid):
+    """At 1 bit every grid point has the one edge 0: the search returns the
+    grid's first value and the design ``build_design`` gives there."""
+    model = NoiseModel(family, beta, delta)
+    assert assert_search_design_is_built_design(model, 2, grid) == grid[0]
+
+
+@pytest.mark.parametrize("grid,match", [
+    ((0.0, 1.0, 0.1), "invalid c_delta grid"),
+    ((1.0, 0.5, 0.1), "invalid c_delta grid"),
+    ((0.1, 1.0, -0.1), "invalid c_delta grid"),
+    ((0.1, math.nan, 0.1), "invalid c_delta grid"),
+    ((1e-6, 10.0, 1e-6), f"at most {MAX_SEARCH_ELEMENTS}$"),
+    ((0.1, math.inf, 0.1), f"at most {MAX_SEARCH_ELEMENTS}$"),
+    ((1.0, 1.0, 1e-17), "empty c_delta grid"),
+])
+def test_one_bit_search_still_checks_its_grid(grid, match):
+    with pytest.raises(ValueError, match=match):
+        optimize_cdelta(gg(2.0), 2, grid)
+
+
+def masked_copy_search(model, n_intervals, grid=DEFAULT_CDELTA_GRID):
+    """The winning row of the search's (probs, drops), picked from
+    ``fisher_quantized`` on masked copies of the valid rows.
+
+    Returns (row, its information, probs, drops).
+    """
+    probs, drops = searched_stats(model, n_intervals, grid)
+    valid = ~np.any(probs < MIN_INTERVAL_MASS, axis=1)
+    info = fisher_quantized(probs[valid], drops[valid])
+    best = int(np.argmax(info))  # the first maximum
+    if info[best] - info.min() <= 1e-12 * max(1.0, info[best]):
+        best = 0  # flat profile: the first valid row
+    return int(np.flatnonzero(valid)[best]), info[best], probs, drops
+
+
+#: from 3 to 8 bits the default grid has degenerate rows for every GG shape
+#: here (Laplace at 8 bits only); ST has none
+ONE_PASS_NOISES = [(Family.GG, 1.0), (Family.GG, 1.5), (Family.GG, 2.5), (Family.GG, 3.0),
+                   (Family.ST, 1.0), (Family.ST, 3.0), (Family.ST, 30.0)]
+
+
+@pytest.mark.parametrize("family,beta", ONE_PASS_NOISES)
+@pytest.mark.parametrize("nbits", range(2, 9))
+def test_one_pass_search_picks_the_masked_copy_winner(family, beta, nbits):
+    """The information of every row in one pass picks, bit for bit, the row,
+    c_delta and information that masked copies of the valid rows pick."""
+    model = NoiseModel(family, beta)
+    row, info, probs, drops = masked_copy_search(model, 2**nbits)
+    c_delta, design = optimize_cdelta(model, 2**nbits)
+    lo, hi, step = DEFAULT_CDELTA_GRID
+    assert c_delta == np.round(np.arange(lo, hi + step / 2, step), 12)[row]
+    assert np.array_equal(design.probs, probs[row])
+    assert np.array_equal(design.drops, drops[row])
+    assert design.info == info
+
+
+def test_one_pass_search_keeps_the_first_valid_point_of_a_flat_profile():
+    """Laplace at 8 bits: a flat profile whose upper 457 rows are degenerate."""
+    probs, _ = searched_stats(gg(1.0), 256, DEFAULT_CDELTA_GRID)
+    assert np.count_nonzero(np.any(probs < MIN_INTERVAL_MASS, axis=1)) == 457
+    assert optimize_cdelta(gg(1.0), 256)[0] == DEFAULT_CDELTA_GRID[0]
+
+
+@pytest.mark.parametrize("nbits", range(2, 9))
+def test_one_pass_search_refuses_an_all_degenerate_grid(nbits):
+    # the outer cell of GG beta = 2 holds less than 1e-300 beyond c = 26.3
+    with pytest.raises(DesignError, match="no valid design"):
+        optimize_cdelta(gg(2.0), 2**nbits, (27.0, 30.0, 0.5))
 
 
 def search_bits(model, n_intervals, grid=DEFAULT_CDELTA_GRID):
@@ -440,15 +522,16 @@ def held_edges():
 def test_cached_geometry_is_read_only_and_bounded(monkeypatch):
     """Entries hold an int32 index and refuse writes, and a new entry
     evicts the oldest until the cache holds at most ``MAX_SEARCH_ELEMENTS``
-    edges."""
+    edges.  A 1-bit search evaluates one point and caches nothing."""
     monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
-    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
+    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 6000)
     coarse = (0.02, 10.0, 0.02)
-    steps = [((gg(2.0), 2, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000)]),
-             ((gg(2.0), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000), (1, 1.0, 1000)]),
-             ((st(3.0), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 1000), (1, 1.0, 1000)]),
-             ((gg(2.0), 2, coarse), [(1, 1.0, 1000), (0, 1.0, 500)]),
-             ((gg(2.0, 0.7), 4, DEFAULT_CDELTA_GRID), [(0, 1.0, 500), (1, 0.7, 1000)])]
+    steps = [((gg(2.0), 4, DEFAULT_CDELTA_GRID), [(1, 1.0, 1000)]),
+             ((gg(2.0), 8, DEFAULT_CDELTA_GRID), [(1, 1.0, 1000), (3, 1.0, 1000)]),
+             ((st(3.0), 8, DEFAULT_CDELTA_GRID), [(1, 1.0, 1000), (3, 1.0, 1000)]),
+             ((gg(2.0), 2, DEFAULT_CDELTA_GRID), [(1, 1.0, 1000), (3, 1.0, 1000)]),
+             ((gg(2.0), 4, coarse), [(3, 1.0, 1000), (1, 1.0, 500)]),
+             ((gg(2.0, 0.7), 8, DEFAULT_CDELTA_GRID), [(1, 1.0, 500), (3, 0.7, 1000)])]
     for search, entries in steps:
         optimize_cdelta(*search)
         assert [(size, delta, len(values) // 8) for size, delta, values
@@ -459,16 +542,16 @@ def test_cached_geometry_is_read_only_and_bounded(monkeypatch):
         for array in geometry:
             with pytest.raises(ValueError, match="read-only"):
                 array[(0,) * array.ndim] = 1
-    with pytest.raises(ValueError, match="at most 750"):  # 1000 x 4 > 3000
-        optimize_cdelta(gg(2.0), 8)
+    with pytest.raises(ValueError, match="at most 750"):  # 1000 x 8 > 6000
+        optimize_cdelta(gg(2.0), 16)
 
 
 def test_a_geometry_cached_meanwhile_is_returned_and_evicts_nothing(monkeypatch):
     """When another thread caches the same geometry while this one builds
     it, the cached entry is returned and no other entry is evicted."""
     monkeypatch.setattr(quantizer, "_GEOMETRIES", {})
-    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 3000)
-    optimize_cdelta(gg(2.0), 2)  # 1000 edges held
+    monkeypatch.setattr(quantizer, "MAX_SEARCH_ELEMENTS", 6000)
+    optimize_cdelta(gg(2.0), 8)  # 4000 edges held
     tau, values = np.array([1.0]), np.round(np.arange(0.01, 10.005, 0.01), 12)
     unique, other = np.unique, []
 
@@ -479,7 +562,7 @@ def test_a_geometry_cached_meanwhile_is_returned_and_evicts_nothing(monkeypatch)
 
     monkeypatch.setattr(np, "unique", racing_unique)
     assert quantizer._search_geometry(tau, values, 1.0) is other[0]
-    assert held_edges() == 3000  # both entries fit: 1000 + 2000 edges
+    assert held_edges() == 6000  # both entries fit: 4000 + 2000 edges
     assert len(quantizer._GEOMETRIES) == 2
 
 

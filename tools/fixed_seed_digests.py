@@ -20,7 +20,9 @@ The runs go through ``adaptquant.cli.main`` in a fresh temporary directory:
   c_delta search's geometry cache in the state the runs before them left:
   GG beta = 2 and ST beta = 2.5 at 5 bits with delta = 1 (an entry the
   runs above and ``loss-table`` filled), then with delta = 0.7; ST beta =
-  2.5 at 5 bits on a grid of its own; GG beta = 2 at 8 bits.
+  2.5 at 5 bits on a grid of its own; GG beta = 2 at 8 bits; GG beta = 2
+  and ST beta = 2.5 at 1 bit with delta = 0.7 on a grid of their own, whose
+  search takes the grid's first point alone.
 
 One ``sha256  name`` line is printed per output, sorted by name, with the
 ``wall_time_s`` line of each ``.summary`` file left out of its digest; every
@@ -29,14 +31,14 @@ digits, which can hide a last-ulp change in the recursion, so one more line
 per Monte Carlo run, in run order, digests the raw bytes of its
 ``mse_curve``, read through a wrapper of ``cli.run_experiment``:
 ``mse_curve/<run index>_<signal>_<noise>_<nbits or continuous>``.  That is
-71 output lines and 81 run lines (4 configs, 2 lookup, 3 continuous and 72
+77 output lines and 81 run lines (4 configs, 2 lookup, 3 continuous and 72
 ``figures`` runs).  Two versions of the package that print the same lines
 write the same bytes and compute the same curves.  PYTHONPATH chooses the
 package under test, and the configs are those next to this script:
 
     PYTHONPATH=src python tools/fixed_seed_digests.py > change.txt
     PYTHONPATH=../parent/src python tools/fixed_seed_digests.py > parent.txt
-    diff parent.txt change.txt  # no output: all 152 lines agree
+    diff parent.txt change.txt  # no output: all 158 lines agree
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ DESIGNS = ([("design", noise, beta, nbits, []) for noise, beta in DESIGN_NOISES
               for delta in ("1", "0.7") for noise, beta in DESIGN_NOISES]
            + [("design_grid", "st", "2.5", 5,
                ["--grid-min", "0.05", "--grid-max", "6", "--grid-step", "0.05"]),
-              ("design_nb8", "gg", "2", 8, [])])
+              ("design_nb8", "gg", "2", 8, [])]
+           + [(f"design_nb1_{noise}", noise, beta, 1,
+               ["--delta", "0.7", "--grid-min", "0.05", "--grid-max", "6",
+                "--grid-step", "0.05"]) for noise, beta in DESIGN_NOISES])
 
 #: the small ``simulate`` config run at each bit count of ``LOOKUP_NBITS``
 LOOKUP_CONFIG = """\
