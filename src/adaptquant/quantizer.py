@@ -182,9 +182,18 @@ def interval_stats(model: NoiseModel, thresholds, shift=0.0):
         column = np.zeros(thresholds.shape[:-1] + (1,))  # the edge 0
         points, gather = np.concatenate((column, thresholds), axis=-1), np.asarray
     edges = shift + points  # x + 0.0 == x
-    probs = -np.diff(gather(model.sf(edges)), append=0.0)  # sf and pdf are 0 at the edge inf
-    drops = -np.diff(gather(model.pdf(edges)), append=0.0)
-    return probs, drops
+    return _cell_differences(gather(model.sf(edges))), _cell_differences(gather(model.pdf(edges)))
+
+
+def _cell_differences(values):
+    """``-np.diff(values, append=0.0)`` along the last axis, without its
+    appended copy: each value less the next, the last less 0.0, the value
+    of sf and pdf at the edge inf.  The operations are np.diff's, -(b - a)
+    and -(0.0 - a), so a zero keeps its sign bit."""
+    out = np.empty_like(values)
+    np.subtract(values[..., 1:], values[..., :-1], out=out[..., :-1])
+    np.subtract(0.0, values[..., -1], out=out[..., -1])
+    return np.negative(out, out=out)
 
 
 def _degenerate(probs):
@@ -306,8 +315,7 @@ def optimize_cdelta(model: NoiseModel, n_intervals: int, grid=DEFAULT_CDELTA_GRI
         # no finite threshold: every grid point has the cells (-inf, 0) and
         # (0, inf), so the profile is flat and its first point wins
         c_delta = float(values[0])
-        thresholds = _cell_edges(tau, c_delta, model.delta)
-        return c_delta, _design(*interval_stats(model, thresholds), thresholds)
+        return c_delta, build_design(model, QuantizerSpec.uniform(2, c_delta))
     probs, drops = interval_stats(model, _search_geometry(tau, values, model.delta))
     valid = ~_degenerate(probs)
     if not valid.any():

@@ -192,6 +192,22 @@ def test_interval_stats_rows_equal_single_designs(family, beta, n_edges):
                                    for p, d in zip(probs[:-1], drops[:-1])])
 
 
+#: sf and pdf values, equal neighbours and zeros of both signs among them
+CELL_VALUES = hs.one_of(hs.sampled_from([0.0, -0.0, 0.5, 5e-324, 1e-300]),
+                        hs.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(1, 3), hs.lists(CELL_VALUES, min_size=1, max_size=24))
+def test_cell_differences_keep_the_bits_of_np_diff(rows, values):
+    """The differences ``interval_stats`` takes are ``-np.diff(values,
+    append=0.0)`` bit for bit, the sign of every zero included."""
+    values = np.array(values * rows).reshape(rows, -1)
+    for array in (values, values[0]):
+        want = -np.diff(array, append=0.0)
+        assert quantizer._cell_differences(array).tobytes() == want.tobytes()
+
+
 def test_one_bit_gaussian_information():
     m = gg(2.0)
     spec = QuantizerSpec.uniform(2, 1.0)
